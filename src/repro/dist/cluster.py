@@ -23,6 +23,12 @@ model so recovery latency is measurable (DESIGN.md §8). A *clean*
 exit changes membership without an epoch bump: rounds stay on their
 hosting shard and nothing is re-sent, which keeps fault-free stats
 byte-identical to the pre-shard monitor.
+
+Routing is cached behind a **membership version**, a host-side counter
+(never on the wire) bumped by every transition that can change who
+votes or who owns shards. ``participants()``, ``shard_owners()`` and
+each round's HRW owner are recomputed only after it moves, so a
+rendezvous costs O(1) routing work however many nodes there are.
 """
 
 from __future__ import annotations
@@ -691,6 +697,20 @@ class DistMvee:
         #: shard handoff protocol. 0 for a run's whole fault-free life.
         self.epoch = 0
         self.last_epoch_bump_ns = 0
+        #: Membership version: bumped by every transition that can move
+        #: participants() or shard_owners() (quarantine, promotion,
+        #: breaker degrade/restore, lifecycle rejoin start and frontier,
+        #: an autoscaler shard-count write, process termination). The
+        #: views below are rebuilt only when it has moved.
+        self.membership_version = 0
+        self._members_at = -1
+        self._participants: Tuple[int, ...] = ()
+        self._owners: Tuple[int, ...] = ()
+        #: vtid -> (seq, owner): the HRW owner of each thread's current
+        #: round under this version. A thread has at most one open
+        #: round cluster-wide, so one slot per thread covers every open
+        #: round; the thread's next round replaces it.
+        self._route: Dict[int, Tuple[int, int]] = {}
         self._parkq = WaitQueue("dist-park")
         self._started = False
         self._build()
@@ -743,13 +763,7 @@ class DistMvee:
                 aslr=self.config.aslr, dcl=self.config.dcl,
             )
         for index, layout in enumerate(layouts):
-            kernel = Kernel(
-                sim=self.sim,
-                config=KernelConfig(cores=dconfig.node_cores),
-                network=self.network,
-            )
-            kernel.attach_obs(self.obs)
-            self.program.install_files(kernel)
+            kernel = self.node_kernel()
             process = kernel.create_process(
                 "%s.n%d" % (self.program.name, index),
                 mmap_base=layout.mmap_base,
@@ -786,6 +800,22 @@ class DistMvee:
             reliable = self.network.lossy()
         if reliable:
             self._enable_reliable_transport()
+
+    def node_kernel(self) -> Kernel:
+        """A fresh kernel for one node (at build, or when the lifecycle
+        re-images a slot): on the shared clock and switch, with the
+        program's files and the membership bump on process exit."""
+        kernel = Kernel(
+            sim=self.sim,
+            config=KernelConfig(cores=self.dconfig.node_cores),
+            network=self.network,
+        )
+        kernel.attach_obs(self.obs)
+        self.program.install_files(kernel)
+        # Synchronous: an exited process leaves the cached views at the
+        # instant ``exited`` flips, before any exit_event listener runs.
+        kernel.on_terminate = self.bump_membership
+        return kernel
 
     def _enable_reliable_transport(self) -> None:
         """Switch the monitor transport to sequenced/acked/retransmitted
@@ -835,11 +865,31 @@ class DistMvee:
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    def participants(self) -> List[int]:
+    def bump_membership(self, _process=None) -> None:
+        """Invalidate the cached membership views (see
+        ``membership_version``). Also the kernels' ``on_terminate``."""
+        self.membership_version += 1
+
+    def _refresh_membership(self) -> None:
+        self._members_at = self.membership_version
+        self._participants = live = self._compute_participants()
+        cap = self.dconfig.rendezvous_shards
+        if not self.dconfig.shard_rendezvous or not live:
+            self._owners = (self.leader_index,)
+        else:
+            self._owners = live if cap is None else live[:max(1, cap)]
+        self._route.clear()
+
+    def participants(self) -> Tuple[int, ...]:
         """Nodes a rendezvous must hear from: everyone not quarantined
         and not *cleanly* exited. A crashed-but-undetected node still
         counts — its silence is what stalls the round until the crash
         detector quarantines it (the honest failure dynamics)."""
+        if self._members_at != self.membership_version:
+            self._refresh_membership()
+        return self._participants
+
+    def _compute_participants(self) -> Tuple[int, ...]:
         out = []
         for node in self.nodes:
             process = node.process
@@ -860,7 +910,7 @@ class DistMvee:
                 # only mode until the breaker's probe restores the link.
                 continue
             out.append(node.index)
-        return out
+        return tuple(out)
 
     def live_peers(self, exclude: int) -> List[int]:
         return [
@@ -879,18 +929,21 @@ class DistMvee:
         every live participant, optionally capped at
         ``rendezvous_shards`` owners (lowest indices first, so the
         owner set is identical on every node)."""
-        if not self.dconfig.shard_rendezvous:
-            return (self.leader_index,)
-        live = tuple(self.participants())
-        if not live:
-            return (self.leader_index,)
-        cap = self.dconfig.rendezvous_shards
-        if cap is not None:
-            live = live[:max(1, cap)]
-        return live
+        if self._members_at != self.membership_version:
+            self._refresh_membership()
+        return self._owners
 
     def shard_owner(self, vtid: int, seq: int) -> int:
-        return shard_owner(vtid, seq, self.shard_owners())
+        """The HRW owner of round ``(vtid, seq)`` under the current
+        membership, memoized per thread until the version moves."""
+        if self._members_at != self.membership_version:
+            self._refresh_membership()
+        slot = self._route.get(vtid)
+        if slot is not None and slot[0] == seq:
+            return slot[1]
+        owner = shard_owner(vtid, seq, self._owners)
+        self._route[vtid] = (seq, owner)
+        return owner
 
     def release_lag_ns(self) -> int:
         """Delay between a round's verdict and its cluster-wide
@@ -1312,6 +1365,7 @@ class DistMvee:
             self.replica_fault(process, report)
             return
         node.link_degraded = True
+        self.bump_membership()
         self.wan_stats["link_degrades"] += 1
         self.result.fault_events.append(report)
         if self.obs.tracer.enabled:
@@ -1332,6 +1386,7 @@ class DistMvee:
         if not node.link_degraded:
             return
         node.link_degraded = False
+        self.bump_membership()
         self.wan_stats["link_restores"] += 1
         if self.obs.tracer.enabled:
             self.obs.tracer.instant(
@@ -1372,6 +1427,7 @@ class DistMvee:
             self.divergence(report)
             return
         process.quarantined = True
+        self.bump_membership()
         self.result.fault_events.append(report)
         self.result.quarantined_replicas.append(index)
         if report.replica is None:
@@ -1407,6 +1463,7 @@ class DistMvee:
             new_leader = survivors[0]  # kept in index order
         new_index = self.group.index_of(new_leader)
         self.group.master_index = new_index
+        self.bump_membership()
         self.degradation_stats["master_promotions"] += 1
         # The new leader re-broadcasts every result it holds but has not
         # consumed: the dead leader may have shipped those records to us

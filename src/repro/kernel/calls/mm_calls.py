@@ -20,7 +20,9 @@ def sys_mmap(kernel, thread, addr, length, prot, flags, fd=-1, offset=0):
         region = None
         name = "anon"
         if flags & C.MAP_SHARED:
-            region = SharedRegion(page_align_up(length), "anon-shared")
+            region = SharedRegion(
+                page_align_up(length), "anon-shared", sparse=True
+            )
             name = "anon-shared"
         mapping = space.map(
             addr or None,

@@ -77,6 +77,11 @@ class Kernel:
         #: Optional repro.faults.FaultInjector, consulted at dispatch
         #: (crashes, stalls) and raw invocation (transient errors).
         self.fault_injector = None
+        #: Optional callback ``(process) -> None`` run by
+        #: terminate_process the moment ``process.exited`` flips, before
+        #: any exit_event listener. repro.dist installs its membership
+        #: bump here (duck-typed: the kernel never imports repro.dist).
+        self.on_terminate: Optional[Callable] = None
         self.syscall_counter = 0
         self.syscall_counts_by_name: Dict[str, int] = {}
         #: Optional repro.obs.Obs hub (attach_obs); instrumentation in
@@ -153,6 +158,8 @@ class Kernel:
             return
         process.exited = True
         process.exit_code = code if signo == 0 else 128 + signo
+        if self.on_terminate is not None:
+            self.on_terminate(process)
         for thread in process.live_threads():
             thread.interrupt(self.sim)
         self.sim.fire(process.exit_event, process.exit_code)

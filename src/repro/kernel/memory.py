@@ -10,6 +10,11 @@ replication buffer) reference a common :class:`SharedRegion`, so a write
 through one replica's mapping is visible through every other mapping of
 the same region, at whatever (different) virtual address each replica
 mapped it.
+
+Anonymous memory is page-on-write: a region built by
+:meth:`AddressSpace.map` holds no bytes until a page is first written,
+and an untouched page reads as zeros. A guest that maps a 1 MiB malloc
+arena and touches two pages of it costs two pages of host memory.
 """
 
 from __future__ import annotations
@@ -18,7 +23,16 @@ import bisect
 from typing import List, Optional
 
 from repro.errors import KernelError
-from repro.kernel.constants import PAGE_MASK, PROT_EXEC, PROT_READ, PROT_WRITE
+from repro.kernel.constants import (
+    PAGE_MASK,
+    PAGE_SIZE,
+    PROT_EXEC,
+    PROT_READ,
+    PROT_WRITE,
+)
+
+
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 
 
 def page_align_down(addr: int) -> int:
@@ -43,17 +57,78 @@ class MemoryFault(Exception):
 
 
 class SharedRegion:
-    """Backing store shared by multiple mappings (possibly cross-process)."""
+    """Backing store shared by multiple mappings (possibly cross-process).
 
-    __slots__ = ("data", "name", "attach_count")
+    A region is *flat* or *sparse*. A flat region holds one contiguous
+    ``data`` bytearray from the start; the monitors' own regions (the
+    IP-MON replication buffer, the file map, shm segments, file-backed
+    mmaps) are flat because their code indexes ``data`` directly. A
+    sparse region (``sparse=True``) keeps only the pages written so far,
+    in ``pages`` and has no ``data``; :meth:`read` and :meth:`write` are
+    the page-level access both layouts share.
+    """
 
-    def __init__(self, length: int, name: str = "shared"):
-        self.data = bytearray(length)
+    __slots__ = ("data", "pages", "length", "name", "attach_count")
+
+    def __init__(self, length: int, name: str = "shared", sparse: bool = False):
+        self.length = length
         self.name = name
         self.attach_count = 0
+        if sparse:
+            #: Page index -> PAGE_SIZE bytearray, for written pages only.
+            self.pages = {}
+        else:
+            self.pages = None
+            self.data = bytearray(length)
 
     def __len__(self):
-        return len(self.data)
+        return self.length
+
+    def read(self, offset: int, length: int):
+        """``length`` bytes at ``offset``; untouched pages read as zeros."""
+        pages = self.pages
+        if pages is None:
+            return self.data[offset : offset + length]
+        start = offset & PAGE_MASK
+        if start + length <= PAGE_SIZE:
+            page = pages.get(offset >> _PAGE_SHIFT)
+            return bytes(length) if page is None else page[start : start + length]
+        out = bytearray()
+        end = offset + length
+        while offset < end:
+            index, start = divmod(offset, PAGE_SIZE)
+            take = min(PAGE_SIZE - start, end - offset)
+            page = pages.get(index)
+            out += bytes(take) if page is None else page[start : start + take]
+            offset += take
+        return out
+
+    def write(self, offset: int, data) -> None:
+        """Store ``data`` at ``offset``, creating pages on first write."""
+        pages = self.pages
+        if pages is None:
+            self.data[offset : offset + len(data)] = data
+            return
+        start = offset & PAGE_MASK
+        if 0 < len(data) <= PAGE_SIZE - start:
+            index = offset >> _PAGE_SHIFT
+            page = pages.get(index)
+            if page is None:
+                page = pages[index] = bytearray(PAGE_SIZE)
+            page[start : start + len(data)] = data
+            return
+        consumed = 0
+        remaining = len(data)
+        while remaining > 0:
+            index, start = divmod(offset, PAGE_SIZE)
+            take = min(PAGE_SIZE - start, remaining)
+            page = pages.get(index)
+            if page is None:
+                page = pages[index] = bytearray(PAGE_SIZE)
+            page[start : start + take] = data[consumed : consumed + take]
+            offset += take
+            consumed += take
+            remaining -= take
 
 
 class Mapping:
@@ -83,9 +158,6 @@ class Mapping:
     def end(self) -> int:
         return self.start + self.length
 
-    def contains(self, addr: int) -> bool:
-        return self.start <= addr < self.end
-
     def __repr__(self):
         return "%012x-%012x %s %s" % (
             self.start,
@@ -105,7 +177,7 @@ def prot_str(prot: int) -> str:
 
 
 class AddressSpace:
-    """A sparse 47-bit virtual address space backed by bytearrays.
+    """A sparse 47-bit virtual address space backed by page-on-write regions.
 
     Args:
         mmap_base: top of the mmap allocation area; fresh anonymous
@@ -135,7 +207,8 @@ class AddressSpace:
         idx = bisect.bisect_right(self._starts, addr) - 1
         if idx >= 0:
             mapping = self._mappings[idx]
-            if mapping.contains(addr):
+            # The bisect already guarantees mapping.start <= addr.
+            if addr < mapping.start + mapping.length:
                 return mapping
         return None
 
@@ -218,7 +291,7 @@ class AddressSpace:
         elif addr is None or self._overlaps(addr, length):
             addr = self.find_free(length)
         if region is None:
-            region = SharedRegion(length, name)
+            region = SharedRegion(length, name, sparse=True)
         mapping = Mapping(addr, length, prot, name, region, region_offset, shared)
         self._insert(mapping)
         return mapping
@@ -326,7 +399,7 @@ class AddressSpace:
         page when ``check_prot`` is set."""
         if length == 0:
             return b""
-        out = bytearray()
+        chunks = []
         cursor = addr
         remaining = length
         while remaining > 0:
@@ -336,11 +409,11 @@ class AddressSpace:
             if check_prot and not mapping.prot & PROT_READ:
                 raise MemoryFault(cursor, "read", "page not readable")
             offset = mapping.region_offset + (cursor - mapping.start)
-            take = min(remaining, mapping.end - cursor)
-            out += mapping.region.data[offset : offset + take]
+            take = min(remaining, mapping.start + mapping.length - cursor)
+            chunks.append(mapping.region.read(offset, take))
             cursor += take
             remaining -= take
-        return bytes(out)
+        return b"".join(chunks)
 
     def write(self, addr: int, data: bytes, check_prot: bool = True) -> None:
         """Write ``data`` at ``addr``; raises :class:`MemoryFault` on a
@@ -358,10 +431,8 @@ class AddressSpace:
             if check_prot and not mapping.prot & PROT_WRITE:
                 raise MemoryFault(cursor, "write", "page not writable")
             offset = mapping.region_offset + (cursor - mapping.start)
-            take = min(remaining, mapping.end - cursor)
-            mapping.region.data[offset : offset + take] = view[
-                consumed : consumed + take
-            ]
+            take = min(remaining, mapping.start + mapping.length - cursor)
+            mapping.region.write(offset, view[consumed : consumed + take])
             cursor += take
             remaining -= take
             consumed += take

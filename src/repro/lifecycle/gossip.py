@@ -58,6 +58,9 @@ class GossipAgent:
         #: ceil(peers/fanout) beats, so inter-contact silence is bounded
         #: and a healthy cluster never falsely suspects anyone.
         self._cycle: List[int] = []
+        #: Peers we hold dead that reached us directly since our last
+        #: beat; each is owed our view on the next beat (see merge()).
+        self._owed: List[int] = []
         self.beats_sent = 0
 
     # -- view ----------------------------------------------------------
@@ -83,10 +86,19 @@ class GossipAgent:
 
         Beating also reconfirms our own liveness and incarnation in the
         outgoing view (``view()`` is what the caller ships).
+
+        An isolated agent (every peer marked dead) beats its dead-marked
+        peers instead of nobody: otherwise a node the rest of the
+        cluster wrongly buried never hears its own obituary, never bumps
+        its incarnation past it, and the live set stays split for good.
+        Peers owed our view (a direct frame from a peer we hold dead)
+        are added on top of the fanout.
         """
         self.states[self.index] = GOSSIP_ALIVE
         self.last_heard[self.index] = now
         peers = self.alive_peers()
+        if not peers:
+            peers = [i for i in range(self.n) if i != self.index]
         want = min(self.fanout, len(peers))
         targets: List[int] = []
         while len(targets) < want:
@@ -97,6 +109,10 @@ class GossipAgent:
             peer = self._cycle.pop(0)
             if peer in peers and peer not in targets:
                 targets.append(peer)
+        for peer in self._owed:
+            if peer not in targets:
+                targets.append(peer)
+        self._owed.clear()
         self.beats_sent += 1
         return sorted(targets)
 
@@ -130,6 +146,15 @@ class GossipAgent:
                 self.states[node] = state
                 if state == GOSSIP_DEAD:
                     self._fire_dead(node, incarnation)
+        if (
+            0 <= sender < self.n
+            and self.states[sender] == GOSSIP_DEAD
+            and sender not in self._owed
+        ):
+            # A peer we hold dead is talking to us, so it has not heard
+            # its obituary (or it would have outlived it with a bumped
+            # incarnation). Our next beat carries the obituary to it.
+            self._owed.append(sender)
 
     def check(self, now: int) -> List[Tuple[int, int]]:
         """Age the view: promote silent peers to suspect/dead.

@@ -51,7 +51,6 @@ from repro.dist.wire import (
     state_payload,
 )
 from repro.guest.runtime import GuestRuntime
-from repro.kernel.kernel import Kernel, KernelConfig
 from repro.lifecycle.autoscale import DriftWatchdog
 from repro.lifecycle.config import LifecycleConfig
 from repro.lifecycle.window import RECORD, ReplayWindow
@@ -269,7 +268,6 @@ class LifecycleManager:
             return
         mvee = self.mvee
         node = mvee.nodes[index]
-        dconfig = mvee.dconfig
         old_kernel = node.kernel
         # Re-imaging wipes the node's TCP state: listeners the dead
         # kernel registered in the shared network would otherwise shadow
@@ -280,13 +278,7 @@ class LifecycleManager:
                      if sock.kernel is old_kernel]
             for key in stale:
                 del network.listeners[key]
-        kernel = Kernel(
-            sim=self.sim,
-            config=KernelConfig(cores=dconfig.node_cores),
-            network=mvee.network,
-        )
-        kernel.attach_obs(mvee.obs)
-        mvee.program.install_files(kernel)
+        kernel = mvee.node_kernel()
         process = kernel.create_process(
             "%s.n%d.r%d" % (
                 mvee.program.name, index, self.stats["rejoins_scheduled"],
@@ -308,6 +300,7 @@ class LifecycleManager:
         node.mirror = RBMirror(index)
         node.link_degraded = False
         node.rejoining = True
+        mvee.bump_membership()
         node.replaying = True
         node.view = ReplicaView(process, mvee.policy, mvee.epoll_map, index)
         node.interceptor = DistInterceptor(mvee, node)
@@ -394,6 +387,7 @@ class LifecycleManager:
         mvee = self.mvee
         now = self.sim.now
         node.rejoining = False
+        mvee.bump_membership()
         # Every re-admission opens a new ownership epoch, exactly like
         # the quarantine that vacated the slot: in-flight old-epoch
         # frames become rejectable and waiting participants re-collect
@@ -457,6 +451,7 @@ class LifecycleManager:
                 # open rounds stay addressable via their hosting shard,
                 # and no epoch bump is needed.
                 dconfig.rendezvous_shards = shards + 1
+                mvee.bump_membership()
                 self.stats["scale_ups"] += 1
                 mvee.monitor.on_membership_change()
                 if mvee.obs.tracer.enabled:
@@ -465,6 +460,7 @@ class LifecycleManager:
                     )
             elif decision < 0 and shards > config.min_shards:
                 dconfig.rendezvous_shards = shards - 1
+                mvee.bump_membership()
                 self.stats["scale_downs"] += 1
                 mvee.monitor.on_membership_change()
                 if mvee.obs.tracer.enabled:

@@ -116,9 +116,7 @@ class TestRbProtection:
                 if mapping.name.startswith("[ipmon"):
                     continue
                 data = bytes(
-                    mapping.region.data[
-                        mapping.region_offset : mapping.region_offset + mapping.length
-                    ]
+                    mapping.region.read(mapping.region_offset, mapping.length)
                 )
                 assert needle not in data, (
                     "RB pointer leaked into %s of %s" % (mapping.name, process.name)

@@ -178,3 +178,108 @@ def test_property_allocations_disjoint_and_page_aligned(sizes):
     ordered = sorted(mappings, key=lambda m: m.start)
     for a, b in zip(ordered, ordered[1:]):
         assert a.end <= b.start
+
+
+class TestSparseRegions:
+    def test_anonymous_mappings_are_page_on_write(self):
+        space = make_space()
+        mapping = space.map(None, 1 << 20, RW)
+        region = mapping.region
+        assert region.pages == {}
+        assert space.read(mapping.start + 5000, 16) == bytes(16)
+        assert region.pages == {}
+        space.write(mapping.start + 5000, b"x")
+        assert sorted(region.pages) == [1]
+        region.write(3 * C.PAGE_SIZE, b"")
+        assert sorted(region.pages) == [1]
+
+    def test_flat_regions_stay_flat(self):
+        region = SharedRegion(4096, "rb")
+        assert region.pages is None
+        assert isinstance(region.data, bytearray)
+
+
+_PAGES = 4
+_SPAN = _PAGES * C.PAGE_SIZE
+_offsets = st.integers(min_value=0, max_value=_SPAN)
+_accesses = st.one_of(
+    st.tuples(st.just("write"), _offsets, st.binary(min_size=0, max_size=5000)),
+    st.tuples(st.just("read"), _offsets, st.integers(min_value=0, max_value=5000)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_accesses, min_size=1, max_size=25))
+def test_property_sparse_region_matches_flat_reference(ops):
+    """Random reads and writes (cross-page, unaligned, zero-length)
+    match a flat bytearray."""
+    region = SharedRegion(_SPAN, "sparse", sparse=True)
+    model = bytearray(_SPAN)
+    for kind, offset, arg in ops:
+        if kind == "write":
+            data = arg[: _SPAN - offset]
+            region.write(offset, data)
+            model[offset : offset + len(data)] = data
+        else:
+            length = min(arg, _SPAN - offset)
+            assert bytes(region.read(offset, length)) == bytes(
+                model[offset : offset + length]
+            )
+    assert len(region) == _SPAN
+    assert bytes(region.read(0, _SPAN)) == bytes(model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cuts=st.lists(
+        st.tuples(
+            st.sampled_from(("munmap", "mprotect")),
+            st.integers(min_value=0, max_value=_PAGES - 1),
+            st.integers(min_value=1, max_value=2),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    writes=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=_SPAN - 1),
+            st.binary(min_size=0, max_size=6000),
+        ),
+        max_size=12,
+    ),
+)
+def test_property_split_mappings_share_one_sparse_region(cuts, writes):
+    """munmap/mprotect split one anonymous mapping into pieces that share
+    its sparse region; every surviving byte reads as a flat model says."""
+    space = make_space()
+    mapping = space.map(0x6000_0000, _SPAN, RW, fixed=True)
+    base = mapping.start
+    region = mapping.region
+    model = bytearray(_SPAN)
+    mapped = [True] * _PAGES
+    for kind, page, count in cuts:
+        addr = base + page * C.PAGE_SIZE
+        length = count * C.PAGE_SIZE
+        if kind == "munmap":
+            space.unmap(addr, length)
+            for index in range(page, min(page + count, _PAGES)):
+                mapped[index] = False
+        elif any(mapped[page : page + count]):
+            space.protect(addr, length, RW)
+    for piece in space.mappings():
+        assert piece.region is region
+    for offset, data in writes:
+        data = data[: _SPAN - offset]
+        first, last = offset // C.PAGE_SIZE, (offset + len(data) - 1) // C.PAGE_SIZE
+        if data and all(mapped[first : last + 1]):
+            space.write(base + offset, data)
+            model[offset : offset + len(data)] = data
+    for index in range(_PAGES):
+        start = index * C.PAGE_SIZE
+        if mapped[index]:
+            assert space.read(base + start, C.PAGE_SIZE) == bytes(
+                model[start : start + C.PAGE_SIZE]
+            )
+        else:
+            with pytest.raises(MemoryFault):
+                space.read(base + start, 1)

@@ -18,7 +18,7 @@ cheap enough for Hypothesis to sweep seeds.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dist.wire import GOSSIP_ALIVE, GOSSIP_DEAD, GOSSIP_SUSPECT
@@ -137,6 +137,26 @@ class TestAgentUnit:
         # Silence clocks restarted: nothing ages out immediately.
         assert agent.check(450) == []
 
+    def test_isolated_agent_beats_its_dead_marked_peers(self):
+        agent = GossipAgent(0, 3, suspicion_timeout_ns=100, fanout=2, seed=1)
+        agent.check(250)
+        assert agent.alive_peers() == []
+        assert agent.beat(260) == [1, 2]
+
+    def test_direct_frame_from_dead_peer_earns_it_our_view(self):
+        agent = GossipAgent(0, 5, suspicion_timeout_ns=100, fanout=1, seed=1)
+        agent.check(150)
+        agent.merge(160, 1, ())
+        agent.merge(160, 2, ())
+        agent.merge(160, 3, ())
+        agent.check(260)   # 4 dead; 1, 2, 3 alive
+        agent.merge(270, 4, ((4, 0, GOSSIP_ALIVE),))
+        assert agent.states[4] == GOSSIP_DEAD
+        targets = agent.beat(280)
+        assert 4 in targets and len(targets) == 2
+        # Owed once: the next beat is back to the plain fanout.
+        assert len(agent.beat(290)) == 1
+
     def test_beat_targets_bounded_and_sorted(self):
         agent = GossipAgent(0, 6, suspicion_timeout_ns=100, fanout=2, seed=9)
         for now in range(0, 100, 10):
@@ -170,6 +190,10 @@ class TestConvergence:
         reorder=st.booleans(),
         n=st.integers(3, 6),
     )
+    # Node 0 once buried every peer and beat nobody while the peers held
+    # it dead at the same incarnation: the live set split for good.
+    @example(seed=1919598, loss_seed=503929, loss_permille=381,
+             reorder=True, n=6)
     def test_views_converge_under_loss_and_reorder(
         self, seed, loss_seed, loss_permille, reorder, n
     ):
