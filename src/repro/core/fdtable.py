@@ -86,7 +86,7 @@ class MonitorFdTable:
     def record_close(self, fd: int) -> None:
         self._info.pop(fd, None)
         if 0 <= fd < self.max_fds:
-            self.region.data[fd] = 0
+            self.region.write(fd, b"\x00")
 
     def record_nonblocking(self, fd: int, nonblocking: bool) -> None:
         info = self._info.get(fd)
@@ -108,7 +108,7 @@ class MonitorFdTable:
             code = TYPE_CODES["special"]
         if info.nonblocking:
             code |= NONBLOCK_BIT
-        self.region.data[fd] = code
+        self.region.write(fd, bytes((code,)))
 
     # -- queries -----------------------------------------------------------
     def info(self, fd: int) -> Optional[FdInfo]:
@@ -138,15 +138,15 @@ class FileMapView:
         self.region = region
 
     def fd_kind(self, fd: int) -> Optional[str]:
-        if not 0 <= fd < len(self.region.data):
+        if not 0 <= fd < self.region.length:
             return None
-        code = self.region.data[fd]
+        code = self.region.read(fd, 1)[0]
         return CODE_TO_KIND.get(code & ~NONBLOCK_BIT)
 
     def is_nonblocking(self, fd: int) -> bool:
-        if not 0 <= fd < len(self.region.data):
+        if not 0 <= fd < self.region.length:
             return False
-        return bool(self.region.data[fd] & NONBLOCK_BIT)
+        return bool(self.region.read(fd, 1)[0] & NONBLOCK_BIT)
 
     def may_block(self, name: str, fd: int) -> bool:
         """Predict whether a call on ``fd`` can block (paper §3.7):

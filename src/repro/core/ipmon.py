@@ -88,10 +88,10 @@ class IpMonGroup:
         self._obs_ns = self.obs.dispatch_cost_ns if self.obs is not None else 0
 
     def signals_pending(self) -> bool:
-        return self.rb.region.data[SIGNALS_PENDING_OFFSET] != 0
+        return self.rb.region.read(SIGNALS_PENDING_OFFSET, 1)[0] != 0
 
     def set_signals_pending(self, value: bool) -> None:
-        self.rb.region.data[SIGNALS_PENDING_OFFSET] = 1 if value else 0
+        self.rb.region.write(SIGNALS_PENDING_OFFSET, b"\x01" if value else b"\x00")
 
     def on_replica_quarantined(self, index: int, was_master: bool) -> None:
         """Release a quarantined replica's RB state.

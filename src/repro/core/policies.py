@@ -147,34 +147,25 @@ class RelaxationPolicy:
                 raise PolicyError("unknown relaxation level: %r" % (level,))
         self.level = level
         self.temporal = temporal
+        levels = [lvl for lvl in Level if lvl != Level.NO_IPMON and lvl <= level]
+        self._unconditional = frozenset().union(
+            *(UNCONDITIONAL.get(lvl, frozenset()) for lvl in levels)
+        )
+        self._conditional = frozenset().union(
+            *(CONDITIONAL.get(lvl, frozenset()) for lvl in levels)
+        )
 
     # ------------------------------------------------------------------
     def unmonitored_set(self) -> FrozenSet[str]:
         """Every syscall name that *may* run unmonitored at this level
         (the set IP-MON registers with IK-B, paper §3.5)."""
-        names = set()
-        for lvl in Level:
-            if lvl == Level.NO_IPMON or lvl > self.level:
-                continue
-            names |= UNCONDITIONAL.get(lvl, frozenset())
-            names |= CONDITIONAL.get(lvl, frozenset())
-        return frozenset(names)
+        return self._unconditional | self._conditional
 
     def allows_unconditionally(self, name: str) -> bool:
-        for lvl in Level:
-            if lvl == Level.NO_IPMON or lvl > self.level:
-                continue
-            if name in UNCONDITIONAL.get(lvl, frozenset()):
-                return True
-        return False
+        return name in self._unconditional
 
     def is_conditional(self, name: str) -> bool:
-        for lvl in Level:
-            if lvl == Level.NO_IPMON or lvl > self.level:
-                continue
-            if name in CONDITIONAL.get(lvl, frozenset()):
-                return True
-        return False
+        return name in self._conditional
 
     # ------------------------------------------------------------------
     def allows_fd_kind(self, name: str, fd_kind: Optional[str], nonblocking: bool) -> bool:

@@ -1,7 +1,10 @@
 """The IP-MON replication buffer (paper §3.2, §3.7).
 
-A single shared-memory region (16 MiB by default, System V shm) mapped
-into every replica at a *different*, hidden virtual address. The master
+A single shared-memory region (16 MiB reserved by default, System V
+shm) mapped into every replica at a *different*, hidden virtual
+address. The 16 MiB is address space, not host memory: the region
+allocates a page on its first write, and each lane fills linearly from
+its start, so a run costs only the front of the lanes it uses. The master
 appends one record per unmonitored call: serialized arguments, metadata
 flags, then — once the call completes — the results. Slaves read
 records at their own pace, compare arguments, and copy results out.
@@ -46,6 +49,10 @@ MAX_LANES = 32
 #   u32 _pad
 HEADER_FMT = "<IIIIqII"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)
+_HEADER = struct.Struct(HEADER_FMT)
+_RESULT = struct.Struct("<qII")
+_U32 = struct.Struct("<I")
+_ZERO_HEADER = bytes(HEADER_SIZE)
 
 STATE_ALLOCATED = 0
 STATE_ARGS_READY = 1
@@ -56,6 +63,8 @@ FLAG_FORWARDED = 2
 
 OFF_STATE = 0
 OFF_WAITERS = 4
+OFF_ARGS_LEN = 8
+OFF_FLAGS = 12
 OFF_RESULT = 16
 
 
@@ -77,23 +86,27 @@ class RBRecord:
     def region(self) -> SharedRegion:
         return self.lane.rb.region
 
+    def _read(self, start: int, length: int) -> bytes:
+        # Lengths come from attacker-writable header words: clamp at the
+        # region's end rather than reading (or allocating) past it.
+        region = self.region
+        return bytes(region.read(start, max(0, min(length, region.length - start))))
+
     def state(self) -> int:
-        return struct.unpack_from("<I", self.region.data, self.offset + OFF_STATE)[0]
+        return _U32.unpack(self.region.read(self.offset + OFF_STATE, 4))[0]
 
     def set_state(self, value: int) -> None:
-        struct.pack_into("<I", self.region.data, self.offset + OFF_STATE, value)
+        self.region.write(self.offset + OFF_STATE, _U32.pack(value))
 
     def waiters(self) -> int:
-        return struct.unpack_from("<I", self.region.data, self.offset + OFF_WAITERS)[0]
+        return _U32.unpack(self.region.read(self.offset + OFF_WAITERS, 4))[0]
 
     def add_waiter(self, delta: int) -> None:
         # Clamped: the word lives in attacker-writable shared memory, so
         # arithmetic on it must never raise out of range.
-        struct.pack_into(
-            "<I",
-            self.region.data,
+        self.region.write(
             self.offset + OFF_WAITERS,
-            max(0, min(0xFFFFFFFF, self.waiters() + delta)),
+            _U32.pack(max(0, min(0xFFFFFFFF, self.waiters() + delta))),
         )
 
     def state_word_offset(self) -> int:
@@ -102,52 +115,32 @@ class RBRecord:
 
     def write_args(self, blob: bytes, flags: int) -> None:
         self.args_len = len(blob)
-        struct.pack_into(
-            HEADER_FMT,
-            self.region.data,
-            self.offset,
-            STATE_ALLOCATED,
-            0,
-            len(blob),
-            flags,
-            0,
-            0,
-            0,
-        )
-        start = self.offset + HEADER_SIZE
-        self.region.data[start : start + len(blob)] = blob
-        self.set_state(STATE_ARGS_READY)
+        # Header and blob in one write; the state word lands as ARGS_READY.
+        header = _HEADER.pack(STATE_ARGS_READY, 0, len(blob), flags, 0, 0, 0)
+        self.region.write(self.offset, header + blob)
 
     def read_args(self) -> bytes:
-        length = struct.unpack_from("<I", self.region.data, self.offset + 8)[0]
-        start = self.offset + HEADER_SIZE
-        return bytes(self.region.data[start : start + length])
+        length = _U32.unpack(self.region.read(self.offset + OFF_ARGS_LEN, 4))[0]
+        return self._read(self.offset + HEADER_SIZE, length)
 
     def flags(self) -> int:
-        return struct.unpack_from("<I", self.region.data, self.offset + 12)[0]
+        return _U32.unpack(self.region.read(self.offset + OFF_FLAGS, 4))[0]
 
     def write_results(self, result: int, payload: bytes) -> None:
-        args_len = struct.unpack_from("<I", self.region.data, self.offset + 8)[0]
+        region = self.region
+        args_len = _U32.unpack(region.read(self.offset + OFF_ARGS_LEN, 4))[0]
         self.result_len = len(payload)
-        struct.pack_into(
-            "<qII",
-            self.region.data,
-            self.offset + OFF_RESULT,
-            result,
-            len(payload),
-            0,
-        )
+        region.write(self.offset + OFF_RESULT, _RESULT.pack(result, len(payload), 0))
         start = self.offset + HEADER_SIZE + args_len
-        self.region.data[start : start + len(payload)] = payload
+        region.write(start, payload[: max(0, region.length - start)])
         self.set_state(STATE_RESULTS_READY)
 
     def read_results(self):
-        args_len = struct.unpack_from("<I", self.region.data, self.offset + 8)[0]
-        result, result_len, _pad = struct.unpack_from(
-            "<qII", self.region.data, self.offset + OFF_RESULT
+        args_len = _U32.unpack(self.region.read(self.offset + OFF_ARGS_LEN, 4))[0]
+        result, result_len, _pad = _RESULT.unpack(
+            self.region.read(self.offset + OFF_RESULT, _RESULT.size)
         )
-        start = self.offset + HEADER_SIZE + args_len
-        return result, bytes(self.region.data[start : start + result_len])
+        return result, self._read(self.offset + HEADER_SIZE + args_len, result_len)
 
     def total_bytes(self) -> int:
         return HEADER_SIZE + self.args_len + self.result_len
@@ -157,11 +150,9 @@ class RBRecord:
         Mark it forwarded-to-monitor with an empty result so survivors
         route the corresponding call to GHUMVEE's rendezvous instead of
         trusting a half-written record."""
-        flags = self.flags() | FLAG_FORWARDED
-        struct.pack_into("<I", self.region.data, self.offset + 12, flags)
-        struct.pack_into(
-            "<qII", self.region.data, self.offset + OFF_RESULT, 0, 0, 0
-        )
+        region = self.region
+        region.write(self.offset + OFF_FLAGS, _U32.pack(self.flags() | FLAG_FORWARDED))
+        region.write(self.offset + OFF_RESULT, _RESULT.pack(0, 0, 0))
         self.set_state(STATE_RESULTS_READY)
 
 
@@ -200,7 +191,7 @@ class RBLane:
         capacity = HEADER_SIZE + nbytes
         record = RBRecord(self, self.master_seq, offset, capacity)
         # Zero the header so the state word starts at ALLOCATED.
-        self.rb.region.data[offset : offset + HEADER_SIZE] = b"\x00" * HEADER_SIZE
+        self.rb.region.write(offset, _ZERO_HEADER)
         self.master_offset += capacity
         self.master_seq += 1
         self.records.append(record)
@@ -268,10 +259,6 @@ class ReplicationBuffer:
             )
             self.lanes[vtid] = lane
         return lane
-
-    def register_slave(self, replica_index: int) -> None:
-        for lane in self.lanes.values():
-            lane.consumed.setdefault(replica_index, lane.master_seq)
 
     def attach_slave_to_lane(self, lane: RBLane, replica_index: int) -> None:
         lane.consumed.setdefault(replica_index, 0)

@@ -440,7 +440,7 @@ class FaultInjector:
             self.stats["skipped"] += 1
             return
         pos = record.offset + HEADER_SIZE
-        region.data[pos] = (region.data[pos] ^ fault.flip_mask) & 0xFF
+        region.write(pos, bytes(((region.read(pos, 1)[0] ^ fault.flip_mask) & 0xFF,)))
         self.stats["rb_corruptions"] += 1
         self._obs_fault("rb_corruption")
 

@@ -20,9 +20,7 @@ def sys_mmap(kernel, thread, addr, length, prot, flags, fd=-1, offset=0):
         region = None
         name = "anon"
         if flags & C.MAP_SHARED:
-            region = SharedRegion(
-                page_align_up(length), "anon-shared", sparse=True
-            )
+            region = SharedRegion(page_align_up(length), "anon-shared")
             name = "anon-shared"
         mapping = space.map(
             addr or None,
@@ -46,8 +44,7 @@ def sys_mmap(kernel, thread, addr, length, prot, flags, fd=-1, offset=0):
         # (paper §2.1) and private mappings cover the benchmarks.
         return -E.EINVAL
     region = SharedRegion(page_align_up(length), "file:%s" % node.name)
-    snippet = node.pread(offset, length)
-    region.data[: len(snippet)] = snippet
+    region.write(0, node.pread(offset, length))
     mapping = space.map(
         addr or None,
         length,

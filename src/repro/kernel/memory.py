@@ -11,10 +11,10 @@ through one replica's mapping is visible through every other mapping of
 the same region, at whatever (different) virtual address each replica
 mapped it.
 
-Anonymous memory is page-on-write: a region built by
-:meth:`AddressSpace.map` holds no bytes until a page is first written,
-and an untouched page reads as zeros. A guest that maps a 1 MiB malloc
-arena and touches two pages of it costs two pages of host memory.
+Every region is page-on-write: it holds no bytes until a page is first
+written, and an untouched page reads as zeros. A guest that maps a 1 MiB
+malloc arena and touches two pages of it costs two pages of host memory,
+and a 16 MiB replication buffer costs only the front of the lanes in use.
 """
 
 from __future__ import annotations
@@ -59,27 +59,18 @@ class MemoryFault(Exception):
 class SharedRegion:
     """Backing store shared by multiple mappings (possibly cross-process).
 
-    A region is *flat* or *sparse*. A flat region holds one contiguous
-    ``data`` bytearray from the start; the monitors' own regions (the
-    IP-MON replication buffer, the file map, shm segments, file-backed
-    mmaps) are flat because their code indexes ``data`` directly. A
-    sparse region (``sparse=True``) keeps only the pages written so far,
-    in ``pages`` and has no ``data``; :meth:`read` and :meth:`write` are
-    the page-level access both layouts share.
+    A region keeps only the pages written so far, in ``pages``;
+    :meth:`read` and :meth:`write` are the only way to its bytes.
     """
 
-    __slots__ = ("data", "pages", "length", "name", "attach_count")
+    __slots__ = ("pages", "length", "name", "attach_count")
 
-    def __init__(self, length: int, name: str = "shared", sparse: bool = False):
+    def __init__(self, length: int, name: str = "shared"):
         self.length = length
         self.name = name
         self.attach_count = 0
-        if sparse:
-            #: Page index -> PAGE_SIZE bytearray, for written pages only.
-            self.pages = {}
-        else:
-            self.pages = None
-            self.data = bytearray(length)
+        #: Page index -> PAGE_SIZE bytearray, for written pages only.
+        self.pages = {}
 
     def __len__(self):
         return self.length
@@ -87,8 +78,6 @@ class SharedRegion:
     def read(self, offset: int, length: int):
         """``length`` bytes at ``offset``; untouched pages read as zeros."""
         pages = self.pages
-        if pages is None:
-            return self.data[offset : offset + length]
         start = offset & PAGE_MASK
         if start + length <= PAGE_SIZE:
             page = pages.get(offset >> _PAGE_SHIFT)
@@ -106,9 +95,6 @@ class SharedRegion:
     def write(self, offset: int, data) -> None:
         """Store ``data`` at ``offset``, creating pages on first write."""
         pages = self.pages
-        if pages is None:
-            self.data[offset : offset + len(data)] = data
-            return
         start = offset & PAGE_MASK
         if 0 < len(data) <= PAGE_SIZE - start:
             index = offset >> _PAGE_SHIFT
@@ -291,7 +277,7 @@ class AddressSpace:
         elif addr is None or self._overlaps(addr, length):
             addr = self.find_free(length)
         if region is None:
-            region = SharedRegion(length, name, sparse=True)
+            region = SharedRegion(length, name)
         mapping = Mapping(addr, length, prot, name, region, region_offset, shared)
         self._insert(mapping)
         return mapping

@@ -220,7 +220,6 @@ class Simulator:
         self._seq = 0
         self._wakeup_pool: list = []
         self._cpu_active = 0
-        self._live_tasks = 0
         self._steps = 0
 
     # ------------------------------------------------------------------
@@ -252,7 +251,6 @@ class Simulator:
     def spawn(self, gen: Iterator, name: str = "task") -> Task:
         """Create a task from generator ``gen`` and start it immediately."""
         task = Task(gen, name)
-        self._live_tasks += 1
         self._schedule(self.now, (self._step, (task, None, None)))
         return task
 
@@ -445,7 +443,6 @@ class Simulator:
         task.done = True
         task.result = result
         task.failure = failure
-        self._live_tasks -= 1
         self.fire(task.done_event, result)
         if failure is not None and self.trace_sink is not None:
             self.trace_sink.emit(TraceEvent(
@@ -513,11 +510,6 @@ class Simulator:
     def pending(self) -> int:
         """Number of scheduled queue entries not yet executed."""
         return self._pending
-
-    @property
-    def live_tasks(self) -> int:
-        """Number of tasks that have been spawned and not yet finished."""
-        return self._live_tasks
 
     @property
     def steps(self) -> int:

@@ -1,18 +1,26 @@
 """Replication buffer unit tests (paper §3.2, §3.7)."""
 
+import random
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Level, ReMon, ReMonConfig
 from repro.core.rb import (
     FLAG_FORWARDED,
     FLAG_MAY_BLOCK,
+    HEADER_FMT,
     HEADER_SIZE,
     STATE_ALLOCATED,
     STATE_ARGS_READY,
     STATE_RESULTS_READY,
     ReplicationBuffer,
 )
+from repro.kernel import Kernel
+from repro.kernel.constants import PAGE_SIZE
 from repro.sim import Simulator
+from repro.workloads.synthetic import CategoryMix, SyntheticWorkload, build_program
 
 
 def make_rb(size=1 << 16, lanes=4):
@@ -49,11 +57,27 @@ class TestRecordLifecycle:
         lane = rb.lane(0)
         record = lane.reserve(64)
         record.write_args(b"sensitive-args", 0)
-        assert b"sensitive-args" in bytes(rb.region.data)
+        contents = bytes(rb.region.read(0, rb.region.length))
+        assert b"sensitive-args" in contents
         # Tampering through the region is visible through the record.
-        idx = bytes(rb.region.data).index(b"sensitive-args")
-        rb.region.data[idx : idx + 4] = b"EVIL"
+        idx = contents.index(b"sensitive-args")
+        rb.region.write(idx, b"EVIL")
         assert record.read_args().startswith(b"EVIL")
+
+    def test_tampered_lengths_stop_at_region_end(self):
+        """Length words live in attacker-writable memory: reads and
+        writes they steer stop at the region's end."""
+        rb = make_rb()
+        record = rb.lane(0).reserve(32)
+        record.write_args(b"abc", 0)
+        record.write_results(0, b"xyz")
+        rb.region.write(record.offset + 8, b"\xff" * 4)  # args length
+        rb.region.write(record.offset + 20, b"\xff" * 4)  # result length
+        assert len(record.read_args()) == rb.size - record.offset - HEADER_SIZE
+        # The results now start past the region's end.
+        assert record.read_results()[1] == b""
+        record.write_results(1, b"dropped")
+        assert max(rb.region.pages) < rb.size // PAGE_SIZE
 
     def test_waiter_counting(self):
         rb = make_rb()
@@ -180,6 +204,152 @@ def test_signals_pending_flag_in_reserved_header():
     record = lane.reserve(64)
     record.write_args(b"A" * 40, FLAG_FORWARDED)
     # The flag byte (offset 0) is outside every lane.
-    assert rb.region.data[0] == 0
-    rb.region.data[0] = 1
+    assert rb.region.read(0, 1)[0] == 0
+    rb.region.write(0, b"\x01")
     assert record.read_args() == b"A" * 40  # record untouched
+
+
+class _FlatRecord:
+    """Reference record accessors: the ``struct`` code IP-MON used when
+    the RB was one contiguous ``bytearray``."""
+
+    def __init__(self, data: bytearray, offset: int):
+        self.data = data
+        self.offset = offset
+
+    def reserve(self):
+        self.data[self.offset : self.offset + HEADER_SIZE] = b"\x00" * HEADER_SIZE
+
+    def state(self):
+        return struct.unpack_from("<I", self.data, self.offset)[0]
+
+    def waiters(self):
+        return struct.unpack_from("<I", self.data, self.offset + 4)[0]
+
+    def add_waiter(self, delta):
+        value = max(0, min(0xFFFFFFFF, self.waiters() + delta))
+        struct.pack_into("<I", self.data, self.offset + 4, value)
+
+    def write_args(self, blob, flags):
+        struct.pack_into(HEADER_FMT, self.data, self.offset, 0, 0, len(blob), flags, 0, 0, 0)
+        start = self.offset + HEADER_SIZE
+        self.data[start : start + len(blob)] = blob
+        struct.pack_into("<I", self.data, self.offset, STATE_ARGS_READY)
+
+    def read_args(self):
+        length = struct.unpack_from("<I", self.data, self.offset + 8)[0]
+        start = self.offset + HEADER_SIZE
+        return bytes(self.data[start : start + length])
+
+    def flags(self):
+        return struct.unpack_from("<I", self.data, self.offset + 12)[0]
+
+    def write_results(self, result, payload):
+        args_len = struct.unpack_from("<I", self.data, self.offset + 8)[0]
+        struct.pack_into("<qII", self.data, self.offset + 16, result, len(payload), 0)
+        start = self.offset + HEADER_SIZE + args_len
+        self.data[start : start + len(payload)] = payload
+        struct.pack_into("<I", self.data, self.offset, STATE_RESULTS_READY)
+
+    def read_results(self):
+        args_len = struct.unpack_from("<I", self.data, self.offset + 8)[0]
+        result, result_len, _pad = struct.unpack_from("<qII", self.data, self.offset + 16)
+        start = self.offset + HEADER_SIZE + args_len
+        return result, bytes(self.data[start : start + result_len])
+
+    def poison(self):
+        struct.pack_into("<I", self.data, self.offset + 12, self.flags() | FLAG_FORWARDED)
+        struct.pack_into("<qII", self.data, self.offset + 16, 0, 0, 0)
+        struct.pack_into("<I", self.data, self.offset, STATE_RESULTS_READY)
+
+
+def _accessors(record):
+    return (
+        record.state(),
+        record.waiters(),
+        record.flags(),
+        record.read_args(),
+        record.read_results(),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=1 << 32),
+    records=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=1),  # lane
+            st.integers(min_value=0, max_value=6000),  # blob size
+            st.integers(min_value=0, max_value=6000),  # payload size
+            st.integers(min_value=0, max_value=FLAG_MAY_BLOCK | FLAG_FORWARDED),
+            st.integers(min_value=-2, max_value=3),  # waiter delta
+            st.sampled_from(("results", "poison", "results+poison")),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_property_paged_rb_matches_flat_reference(seed, records):
+    """Records of random sizes straddle 4 KiB pages in both the header
+    and the payload; every accessor agrees with the flat layout."""
+    rng = random.Random(seed)
+    rb = ReplicationBuffer(size=1 << 16, lanes=2)
+    model = bytearray(rb.size)
+    written = []
+    for lane_index, blob_size, payload_size, flags, delta, finish in records:
+        lane = rb.lane(lane_index)
+        if not lane.has_room(blob_size + payload_size):
+            continue
+        record = lane.reserve(blob_size + payload_size)
+        ref = _FlatRecord(model, record.offset)
+        ref.reserve()
+        assert _accessors(record) == _accessors(ref)
+        blob = rng.randbytes(blob_size)
+        record.write_args(blob, flags)
+        ref.write_args(blob, flags)
+        record.add_waiter(delta)
+        ref.add_waiter(delta)
+        assert _accessors(record) == _accessors(ref)
+        if finish != "poison":
+            payload = rng.randbytes(payload_size)
+            result = rng.randrange(-(1 << 63), 1 << 63)
+            record.write_results(result, payload)
+            ref.write_results(result, payload)
+        if finish != "results":
+            record.poison()
+            ref.poison()
+        written.append((record, ref))
+    for record, ref in written:
+        assert _accessors(record) == _accessors(ref)
+    assert bytes(rb.region.read(0, rb.size)) == bytes(model)
+
+
+def test_rb_pages_cover_only_the_lanes_in_use():
+    """A fresh RB holds no pages; the engine-golden ReMon run (3 replicas,
+    SOCKET_RW, 3 threads) touches only the front of its lanes."""
+    workload = SyntheticWorkload(
+        name="engine-golden",
+        native_ms=1.5,
+        mix=CategoryMix(
+            {
+                "base": 90_000.0,
+                "file_ro": 120_000.0,
+                "sock_ro": 30_000.0,
+                "sock_rw": 30_000.0,
+                "mgmt": 15_000.0,
+            }
+        ),
+        threads=3,
+    )
+    mvee = ReMon(
+        Kernel(),
+        build_program(workload),
+        ReMonConfig(replicas=3, level=Level.SOCKET_RW),
+    )
+    assert mvee.ipmon.rb.region.pages == {}
+    result = mvee.run(max_steps=400_000_000)
+    assert not result.diverged
+    rb = mvee.ipmon.rb
+    assert rb.stats()["records"] > 0
+    # 44 pages (176 KiB) measured.
+    assert len(rb.region.pages) <= 64

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.rb import ReplicationBuffer
 from repro.kernel import constants as C
 from repro.kernel.memory import (
     AddressSpace,
@@ -193,10 +194,16 @@ class TestSparseRegions:
         region.write(3 * C.PAGE_SIZE, b"")
         assert sorted(region.pages) == [1]
 
-    def test_flat_regions_stay_flat(self):
-        region = SharedRegion(4096, "rb")
-        assert region.pages is None
-        assert isinstance(region.data, bytearray)
+    def test_every_region_is_page_on_write(self):
+        space = make_space()
+        regions = [
+            SharedRegion(4096, "shared"),
+            space.map(None, 1 << 20, RW).region,
+            ReplicationBuffer(size=1 << 16, lanes=2).region,
+        ]
+        for region in regions:
+            assert region.pages == {}
+            assert not hasattr(region, "data")
 
 
 _PAGES = 4
@@ -213,7 +220,7 @@ _accesses = st.one_of(
 def test_property_sparse_region_matches_flat_reference(ops):
     """Random reads and writes (cross-page, unaligned, zero-length)
     match a flat bytearray."""
-    region = SharedRegion(_SPAN, "sparse", sparse=True)
+    region = SharedRegion(_SPAN, "sparse")
     model = bytearray(_SPAN)
     for kind, offset, arg in ops:
         if kind == "write":
