@@ -12,11 +12,18 @@ no matter how many replicas, nodes, or subsystems look at it.
 
 Interning is transparent: a digest is a pure function of its inputs,
 so cache hits never change simulated results — only host CPU time.
+
+``blake2b`` is imported from ``_blake2``, not ``hashlib``. On CPython
+``hashlib.blake2b`` *is* ``_blake2.blake2b`` (``hashlib`` itself takes
+it from there, with no fallback), so the digests are bit-identical,
+but ``import hashlib`` also loads ``_hashlib`` and with it OpenSSL's
+``libcrypto``: over 3 MiB resident in every run for one hash function
+the interpreter already has built in.
 """
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2b
 from typing import Dict, Tuple
 
 
@@ -43,7 +50,7 @@ class DigestInterner:
             self.hits += 1
             return value
         self.misses += 1
-        h = hashlib.blake2b(digest_size=8)
+        h = blake2b(digest_size=8)
         h.update(name.encode())
         h.update(blob_bytes)
         value = int.from_bytes(h.digest(), "little")

@@ -71,11 +71,6 @@ class EpollShadowMap:
         if all(value is None for value in values):
             del self._data[key]
 
-    def forget_epfd(self, epfd: int) -> None:
-        for key in [k for k in self._data if k[0] == epfd]:
-            del self._data[key]
-        self._reverse.pop(epfd, None)
-
     # -- translation -------------------------------------------------------
     def master_data_to_fd(self, epfd: int, data: int) -> Optional[int]:
         return self._reverse.get(epfd, {}).get(data)
@@ -108,6 +103,3 @@ class EpollShadowMap:
             else:
                 out.append((revents, value))
         return out
-
-    def registered_fds(self, epfd: int) -> List[int]:
-        return sorted(fd for (e, fd) in self._data if e == epfd)

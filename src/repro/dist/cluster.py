@@ -200,7 +200,11 @@ class DistMonitor:
     "the same call" cluster-wide. Completed rendezvous states are
     retained (a leader re-reads its verdict after waking) and reference
     digests are kept for the run's lifetime — runs are short and the
-    memory is bounded by total syscall count.
+    memory is bounded by total syscall count. References, one per
+    monitored call, sit in per-thread lanes ``vtid -> {seq: ...}``;
+    ``_home`` and the shards' round maps hold only rendezvous rounds
+    and stay flat on ``(vtid, seq)``, because their insertion order
+    orders ``open_rounds()`` and so the handoff frames.
 
     Round state lives in per-owner :class:`MonitorShard` instances on
     the owner nodes; this object is the cluster-side coordinator: it
@@ -219,7 +223,12 @@ class DistMonitor:
 
     def __init__(self, mvee: "DistMvee"):
         self.mvee = mvee
-        self.references: Dict[Tuple[int, int], Tuple[str, int]] = {}
+        #: The leader's ``(name, digest)`` per round, in per-thread lanes
+        #: ``vtid -> {seq: ...}`` like the RB mirror: one entry per
+        #: monitored call, kept for the run, so no key tuple per round.
+        self.references: Dict[int, Dict[int, Tuple[str, int]]] = {}
+        #: Follower digests that arrived before the leader's reference.
+        #: Flat: it is empty in fault-free runs.
         self.pending_checks: Dict[Tuple[int, int], List[Tuple[int, str, int]]] = {}
         #: Which owner's shard currently *hosts* each round's state.
         self._home: Dict[Tuple[int, int], int] = {}
@@ -281,31 +290,37 @@ class DistMonitor:
 
     # -- async digest lane -------------------------------------------------
     def record_reference(self, vtid: int, seq: int, name: str, digest: int) -> None:
-        key = (vtid, seq)
-        self.references[key] = (name, digest)
-        for sender, fname, fdigest in self.pending_checks.pop(key, []):
-            self._check(sender, key, fname, fdigest)
+        lane = self.references.get(vtid)
+        if lane is None:
+            lane = self.references[vtid] = {}
+        lane[seq] = (name, digest)
+        if self.pending_checks:
+            for sender, fname, fdigest in self.pending_checks.pop((vtid, seq), ()):
+                self._check(sender, vtid, seq, fname, fdigest)
 
     def check_digest(self, sender: int, vtid: int, seq: int, name: str,
                      digest: int) -> None:
-        key = (vtid, seq)
-        if key not in self.references:
+        lane = self.references.get(vtid)
+        if lane is None or seq not in lane:
             # The follower ran ahead of the leader on this call — park
             # the digest until the leader records its own (§4 run-ahead).
-            self.pending_checks.setdefault(key, []).append((sender, name, digest))
+            self.pending_checks.setdefault((vtid, seq), []).append(
+                (sender, name, digest)
+            )
             return
-        self._check(sender, key, name, digest)
+        self._check(sender, vtid, seq, name, digest)
 
-    def _check(self, sender: int, key, name: str, digest: int) -> None:
+    def _check(self, sender: int, vtid: int, seq: int, name: str,
+               digest: int) -> None:
         self.stats["async_checks"] += 1
-        ref_name, ref_digest = self.references[key]
+        ref_name, ref_digest = self.references[vtid][seq]
         if name == ref_name and digest == ref_digest:
             return
         self.stats["async_mismatches"] += 1
         self.mvee.divergence(
             DivergenceReport(
                 self.mvee.sim.now,
-                key[0],
+                vtid,
                 name,
                 "async digest from node %d differs from leader's %s"
                 % (sender, ref_name),

@@ -133,12 +133,16 @@ class Network:
             self._directed.pop((src_ip, dst_ip), None)
 
     def _link_value(self, src_ip: str, dst_ip: str, key: str):
-        directed = self._directed.get((src_ip, dst_ip))
-        if directed is not None and key in directed:
-            return directed[key]
-        override = self._links.get(frozenset((src_ip, dst_ip)))
-        if override is not None and key in override:
-            return override[key]
+        # Runs several times per segment; most networks carry no
+        # overrides, so build the lookup keys only when one exists.
+        if self._directed:
+            directed = self._directed.get((src_ip, dst_ip))
+            if directed is not None and key in directed:
+                return directed[key]
+        if self._links:
+            override = self._links.get(frozenset((src_ip, dst_ip)))
+            if override is not None and key in override:
+                return override[key]
         return getattr(self, key)
 
     def link_params(self, a_ip: str, b_ip: str):

@@ -87,7 +87,3 @@ def syscall(name: str):
         return fn
 
     return register
-
-
-def supported_syscalls() -> Tuple[str, ...]:
-    return tuple(sorted(SYSCALL_TABLE))

@@ -1,8 +1,9 @@
 """Virtual-time span tracing.
 
 The :class:`Tracer` is an event sink in the sense of
-``Simulator(trace=...)``: it has an ``emit(event)`` method taking
-:class:`~repro.sim.TraceEvent` objects. Choke points call
+``Simulator(trace=...)``, which accepts only objects with an
+``emit(event)`` method taking :class:`~repro.sim.TraceEvent` objects
+(there is no ``(time_ns, message)`` callable form). Choke points call
 :meth:`Tracer.begin`/:meth:`Span.finish` (or the ``span`` context
 manager) around their instrumented intervals; when tracing is disabled
 every call is a no-op returning shared null objects, so the disabled

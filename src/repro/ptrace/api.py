@@ -61,8 +61,6 @@ class Tracer:
         self.stop_handler: Optional[Callable[[Stop], None]] = None
         self.signal_handler: Optional[Callable[[Stop], None]] = None
         self.exit_handler: Optional[Callable[[Stop], None]] = None
-        self._syscall_tracing = True
-        self._signal_interception = True
         self.traced_processes = []
         self.stops_delivered = 0
 
@@ -84,20 +82,14 @@ class Tracer:
         for thread in process.threads.values():
             thread.tracer = None
 
-    def set_syscall_tracing(self, enabled: bool) -> None:
-        self._syscall_tracing = enabled
-
-    def set_signal_interception(self, enabled: bool) -> None:
-        self._signal_interception = enabled
-
     # ------------------------------------------------------------------
     # Kernel-facing interface (duck-typed from repro.kernel.kernel)
     # ------------------------------------------------------------------
     def traces_syscalls(self, thread) -> bool:
-        return self._syscall_tracing
+        return True
 
     def intercepts_signal(self, thread, signo: int) -> bool:
-        return self._signal_interception
+        return True
 
     def report_syscall_entry(self, thread, req):
         stop = Stop("syscall-entry", thread, req=req)

@@ -35,6 +35,16 @@ class TestScheduling:
         assert a == b
         assert a != c  # different shuffle
 
+    def test_memoized_schedule_follows_edits_and_is_a_fresh_list(self):
+        workload = SyntheticWorkload("t", native_ms=100, mix=CategoryMix({"base": 1000}))
+        first = workload.schedule()
+        first.append("mgmt")
+        assert workload.schedule().count("mgmt") == 0
+        workload.mix.rates["mgmt"] = 1000
+        workload.native_ms = 200
+        assert workload.schedule().count("mgmt") == 100
+        assert workload.schedule().count("base") == 200
+
     def test_unknown_category_rejected(self):
         with pytest.raises(ValueError):
             CategoryMix({"bogus": 1.0})
