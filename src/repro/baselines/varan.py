@@ -23,6 +23,7 @@ attack scenarios exercise:
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from typing import Dict, List, Optional
 
@@ -30,7 +31,7 @@ from repro.core.comparator import serialize_args
 from repro.core.epoll_map import EpollShadowMap
 from repro.core.events import DivergenceReport, MveeResult
 from repro.core.handlers import build_handler_table
-from repro.core.ghumvee import ALLEXEC_NAMES, FD_CREATE_NAMES
+from repro.core.ghumvee import ALLEXEC_NAMES, FD_CREATE_NAMES, _install_shadow_fd
 from repro.diversity.aslr import make_layouts
 from repro.guest.runtime import GuestRuntime
 from repro.kernel.specs import SYSCALL_SPECS
@@ -275,13 +276,10 @@ class Varan:
         lane.spaceq.notify_all(self.kernel.sim)
 
     def _install_shadow(self, process, req, result: int) -> None:
-        from repro.core.ghumvee import _install_shadow_fd
-        import struct as _struct
-
         if req.name in ("pipe", "pipe2"):
             try:
                 raw = process.space.read(req.arg(0), 8, check_prot=False)
-                rfd, wfd = _struct.unpack("<ii", raw)
+                rfd, wfd = struct.unpack("<ii", raw)
             except Exception:  # noqa: BLE001 - shadow install is best effort
                 return
             _install_shadow_fd(process, rfd, "pipe")

@@ -27,19 +27,21 @@ from typing import Dict, List, Optional
 
 from repro.core.comparator import compare_requests
 from repro.core.events import DivergenceReport
+from repro.core.handlers import IpmonHandler
 from repro.kernel import constants as C
 from repro.kernel import errno_codes as E
 from repro.kernel.memory import MemoryFault
 from repro.kernel.specs import spec_for
 from repro.kernel.structs import (
     EPOLL_EVENT_SIZE,
+    POLLFD_SIZE,
     pack_epoll_event,
     read_iovecs,
     unpack_epoll_event,
 )
-from repro.kernel.vfs import FileObject
+from repro.kernel.vfs import FileObject, OpenFileDescription
 from repro.ptrace.api import Stop, Tracer
-from repro.sim import Sleep
+from repro.sim import Event, Sleep, WaitEvent
 
 #: Process-local calls every replica executes itself.
 ALLEXEC_NAMES = frozenset(
@@ -123,8 +125,6 @@ class AsyncLock:
         self._waiters: List = []
 
     def acquire(self):
-        from repro.sim import Event, WaitEvent
-
         while self.locked:
             event = Event(self.name)
             self._waiters.append(event)
@@ -613,8 +613,6 @@ class LockstepContext:
         return replicated
 
     def _read_master_out(self, space, req, arg_spec, index, result):
-        from repro.core.handlers import IpmonHandler
-
         helper = IpmonHandler(req.name)
         valid = helper._valid_length(arg_spec, req.args, result)
         if valid <= 0:
@@ -648,8 +646,6 @@ class LockstepContext:
             cursor += len(chunk)
 
     def _replicate_pollfds(self, master_req, slave_stops) -> int:
-        from repro.kernel.structs import POLLFD_SIZE
-
         master_space = self.ghumvee.group.master().space
         nfds = master_req.arg(1)
         if not master_req.arg(0) or nfds <= 0:
@@ -828,8 +824,6 @@ class LockstepContext:
 
 
 def _install_shadow_fd(process, fd: int, kind: str) -> None:
-    from repro.kernel.vfs import OpenFileDescription
-
     shadow = ShadowFile(kind, name="shadow:%d" % fd)
     process.fdtable.install(fd, OpenFileDescription(shadow, C.O_RDWR))
 

@@ -18,6 +18,7 @@ from repro.errors import MonitorError
 from repro.guest.program import Program
 from repro.guest.runtime import GuestRuntime
 from repro.obs import Obs
+from repro.sim import Sleep
 
 
 class ReplicaGroup:
@@ -232,8 +233,6 @@ class ReMon:
             self.kernel.sim.spawn(self._rb_remap_loop(interval), name="ikb-remap")
 
     def _rb_remap_loop(self, interval_ns: int):
-        from repro.sim import Sleep
-
         while not self.shutting_down and not self.group.all_exited():
             yield Sleep(interval_ns)
             if self.shutting_down or self.group.all_exited():

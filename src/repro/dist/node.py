@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.comparator import serialize_args
+from repro.core.events import DivergenceReport
 from repro.dist import selective as sel
 from repro.diversity.profile import make_node_profiles
 from repro.dist.remote_rb import RBMirror, RemoteRecord
@@ -163,6 +164,9 @@ class DistInterceptor:
         self.mvee = mvee
         self.node = node
         self._seq: Dict[int, int] = {}
+        #: ``dist_canonical_wait_ns``, fetched on the first call so a
+        #: run that makes none registers nothing.
+        self._canonical_hist = None
         self._self_ip = node.host_ip.encode()
         self._self_ip_str = node.host_ip
         # inet_aton form, as it appears inside serialized sockaddr bufs.
@@ -256,7 +260,12 @@ class DistInterceptor:
             stats["canonical_cost_ns"] = (
                 stats.get("canonical_cost_ns", 0) + canonical_ns
             )
-        mvee.obs.registry.histogram("dist_canonical_wait_ns").observe(canonical_ns)
+        hist = self._canonical_hist
+        if hist is None:
+            hist = self._canonical_hist = mvee.obs.registry.histogram(
+                "dist_canonical_wait_ns"
+            )
+        hist.observe(canonical_ns)
         digest = call_digest(req.name, canonical)
         handler = mvee.handlers.get(req.name)
         view = node.view
@@ -411,8 +420,6 @@ class DistInterceptor:
         """Recompute this node's canonical digest for one replayed
         rendezvous and compare it to the recorded verdict's. Returns
         False (after flagging a divergence) on mismatch."""
-        from repro.core.events import DivergenceReport
-
         mvee, node = self.mvee, self.node
         costs = node.kernel.config.costs
         lifecycle = mvee.lifecycle
@@ -852,8 +859,6 @@ class DistInterceptor:
 
     def _materialize_accept(self, thread, req, record):
         """Install a phantom connection fd mirroring the leader's."""
-        from repro.core.events import DivergenceReport
-
         mvee, node = self.mvee, self.node
         process = node.process
         sock = AdoptedSocket(

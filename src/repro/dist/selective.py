@@ -26,6 +26,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
+from repro.dist import wire
+
 LOCAL = "local"
 REPLICATED = "replicated"
 
@@ -46,8 +48,6 @@ FRAME_CLASSES = (CLS_DIGEST, CLS_RENDEZVOUS, CLS_CONTROL, CLS_HANDOFF,
 def frame_class(frame_type: int) -> str:
     """Default traffic class for a wire frame type (replicated results
     are classified per-syscall by the sender instead)."""
-    from repro.dist import wire
-
     if frame_type in (wire.T_CALL_DIGEST,):
         return CLS_DIGEST
     if frame_type in (wire.T_RENDEZVOUS_REQ, wire.T_RENDEZVOUS_OK,

@@ -101,6 +101,8 @@ FRAME_TYPES = (
 )
 
 _HEADER = struct.Struct("<HBBHHIQqII")
+#: The header up to (not including) its trailing crc32 field.
+_HEAD_SANS_CRC = struct.Struct("<HBBHHIQqI")
 _BATCH_HEADER = struct.Struct("<HHI")
 _RBATCH_HEADER = struct.Struct("<HHIII")
 _DIGEST = struct.Struct("<Q")
@@ -287,7 +289,7 @@ def encode_frame(frame: Frame) -> bytes:
     if not (_I64_MIN <= frame.aux <= _I64_MAX):
         raise WireError("aux out of i64 range: %r" % (frame.aux,))
     payload = bytes(frame.payload)
-    head = _HEADER.pack(
+    head = _HEAD_SANS_CRC.pack(
         MAGIC,
         VERSION,
         frame.type,
@@ -297,10 +299,10 @@ def encode_frame(frame: Frame) -> bytes:
         frame.seq & 0xFFFFFFFFFFFFFFFF,
         frame.aux,
         len(payload),
-        0,
     )
-    crc = zlib.crc32(head[:-4] + payload) & 0xFFFFFFFF
-    return head[:-4] + _CRC.pack(crc) + payload
+    # crc32 chains: crc32(b, crc32(a)) == crc32(a + b), without the copy.
+    crc = zlib.crc32(payload, zlib.crc32(head))
+    return b"".join((head, _CRC.pack(crc), payload))
 
 
 def decode_frame(data: bytes, offset: int = 0) -> Tuple[Frame, int]:
@@ -326,8 +328,8 @@ def decode_frame(data: bytes, offset: int = 0) -> Tuple[Frame, int]:
         )
     payload = bytes(data[offset + HEADER_SIZE:end])
     expect = zlib.crc32(
-        bytes(data[offset:offset + HEADER_SIZE - 4]) + payload
-    ) & 0xFFFFFFFF
+        payload, zlib.crc32(data[offset:offset + HEADER_SIZE - 4])
+    )
     if crc != expect:
         raise WireError("frame CRC mismatch: 0x%08X != 0x%08X" % (crc, expect))
     frame = Frame(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
+from repro.guest.libc import Libc
+from repro.kernel import constants as C
 from repro.kernel.syscalls import SyscallRequest
 
 
@@ -26,6 +28,8 @@ class SyscallProxy:
     """Builds :class:`SyscallRequest` objects via attribute access.
 
     ``ctx.sys.read(fd, buf, n)`` returns a request the guest then yields.
+    The first lookup of a name caches its builder on the class, so every
+    later ``ctx.sys.<name>`` is a plain class-attribute load.
     """
 
     __slots__ = ()
@@ -35,6 +39,10 @@ class SyscallProxy:
             return SyscallRequest(name, args)
 
         build.__name__ = name
+        if not name.startswith("__"):
+            # Dunder names stay uncached: setting one on the class could
+            # install a special method.
+            setattr(SyscallProxy, name, staticmethod(build))
         return build
 
 
@@ -47,8 +55,6 @@ class GuestContext:
     """
 
     def __init__(self, kernel, process, thread, program: "Program", layout=None):
-        from repro.guest.libc import Libc
-
         self.kernel = kernel
         self.process = process
         self.thread = thread
@@ -79,8 +85,6 @@ class GuestContext:
 
         ``entry(ctx, arg)`` must return the new thread's body generator.
         """
-        from repro.kernel import constants as C
-
         return SyscallRequest("clone", (C.CLONE_THREAD_FLAGS, entry, arg))
 
 

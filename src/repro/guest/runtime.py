@@ -17,7 +17,7 @@ from repro.kernel import constants as C
 from repro.kernel.exits import ProcessExitRequest, ThreadExitRequest
 from repro.kernel.memory import MemoryFault
 from repro.kernel.syscalls import SyscallRequest
-from repro.sim import Sleep
+from repro.sim import Effect, Sleep
 
 
 class GuestRuntime:
@@ -165,8 +165,6 @@ class GuestRuntime:
             # helper functions (e.g. ctx.sync_point wrapped by libc).
             result = yield from self._drive(thread, item)
             return result
-        from repro.sim import Effect
-
         if isinstance(item, Effect):
             # Raw simulator effects bubble up from runtime-provided
             # coroutines running in guest context (the record/replay

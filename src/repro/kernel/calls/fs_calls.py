@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 from repro.kernel import constants as C
 from repro.kernel import errno_codes as E
 from repro.kernel.calls._helpers import drive, get_entry
@@ -117,8 +119,6 @@ def _do_pipe(kernel, thread, fds_addr, flags):
     )
     if rfd < 0 or wfd < 0:
         return -E.EMFILE
-    import struct
-
     thread.process.space.write(fds_addr, struct.pack("<ii", rfd, wfd))
     return 0
 

@@ -11,6 +11,7 @@ from repro.kernel.sockets import ListeningSocket, StreamSocket, connect_sockets
 from repro.kernel.structs import (
     SOCKADDR_SIZE,
     pack_sockaddr,
+    read_iovecs,
     unpack_sockaddr,
 )
 from repro.kernel.syscalls import syscall
@@ -287,8 +288,6 @@ def _read_msg_iovecs(space, msg_addr):
     iov_addr, iovlen = struct.unpack(
         MSGHDR_FMT, space.read(msg_addr, MSGHDR_SIZE)
     )
-    from repro.kernel.structs import read_iovecs
-
     return read_iovecs(space, iov_addr, iovlen)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 from repro.kernel import constants as C
 from repro.kernel import errno_codes as E
 from repro.kernel.calls._helpers import get_entry, ms_to_ns
@@ -71,8 +73,6 @@ def sys_select(kernel, thread, nfds, readfds, writefds, exceptfds, timeout_addr)
     space = thread.process.space
     timeout_ns = None
     if timeout_addr:
-        import struct
-
         sec, usec = struct.unpack("<qq", space.read(timeout_addr, TIMEVAL_SIZE))
         timeout_ns = sec * 1_000_000_000 + usec * 1000
 

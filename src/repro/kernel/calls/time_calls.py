@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 from repro.kernel import constants as C
 from repro.kernel import errno_codes as E
 from repro.kernel.calls._helpers import get_entry
@@ -14,6 +16,7 @@ from repro.kernel.structs import (
 )
 from repro.kernel.syscalls import syscall
 from repro.kernel.timers import TimerFD
+from repro.kernel.vfs import OpenFileDescription
 from repro.kernel.waitq import wait_interruptible
 from repro.sim import Event
 
@@ -115,8 +118,6 @@ def sys_getitimer(kernel, thread, which, curr_addr):
 
 
 def _timeval_ns(raw: bytes) -> int:
-    import struct
-
     sec, usec = struct.unpack("<qq", raw)
     return sec * 1_000_000_000 + usec * 1000
 
@@ -127,8 +128,6 @@ def _timeval_ns(raw: bytes) -> int:
 @syscall("timerfd_create")
 def sys_timerfd_create(kernel, thread, clockid=C.CLOCK_MONOTONIC, flags=0):
     timer = TimerFD(kernel, clockid)
-    from repro.kernel.vfs import OpenFileDescription
-
     ofd = OpenFileDescription(timer, C.O_RDWR | (flags & C.O_NONBLOCK))
     return thread.process.fdtable.alloc(ofd, cloexec=bool(flags & C.O_CLOEXEC))
 

@@ -90,6 +90,18 @@ class Kernel:
         self.obs = None
         self._obs_dispatch_ns = 0
         self._obs_syscall_hist = None
+        self._rebuild_entry_sleep()
+
+    def _rebuild_entry_sleep(self) -> None:
+        """Rebuild the one ``Sleep`` every syscall entry yields.
+
+        Effects are immutable values read once when yielded, so all
+        entries share one instance; anything that changes the entry
+        cost (``attach_obs``) must call this again.
+        """
+        self._entry_sleep = Sleep(
+            self.config.costs.syscall_base_ns + self._obs_dispatch_ns, cpu=True
+        )
 
     def attach_obs(self, obs) -> None:
         """Wire a repro.obs hub into syscall dispatch."""
@@ -97,12 +109,14 @@ class Kernel:
         if obs is None:
             self._obs_dispatch_ns = 0
             self._obs_syscall_hist = None
-            return
-        obs.bind_costs(self.config.costs)
-        self._obs_dispatch_ns = obs.dispatch_cost_ns
-        self._obs_syscall_hist = (
-            obs.registry.histogram("kernel_syscall_ns") if obs.active else None
-        )
+        else:
+            obs.bind_costs(self.config.costs)
+            self._obs_dispatch_ns = obs.dispatch_cost_ns
+            self._obs_syscall_hist = (
+                obs.registry.histogram("kernel_syscall_ns")
+                if obs.active else None
+            )
+        self._rebuild_entry_sleep()
 
     # ------------------------------------------------------------------
     # Process management
@@ -192,10 +206,7 @@ class Kernel:
                 span = obs.tracer.begin("kernel", "syscall", syscall=req.name,
                                         vtid=thread.vtid, replica=replica)
         try:
-            yield Sleep(
-                self.config.costs.syscall_base_ns + self._obs_dispatch_ns,
-                cpu=True,
-            )
+            yield self._entry_sleep
             injector = self.fault_injector
             if injector is not None:
                 action = injector.on_syscall_entry(thread, req)

@@ -383,8 +383,18 @@ class AddressSpace:
         """Read ``length`` bytes at ``addr`` (gathering across contiguous
         mappings). Raises :class:`MemoryFault` on a hole or a PROT_NONE
         page when ``check_prot`` is set."""
-        if length == 0:
+        if length <= 0:
             return b""
+        mapping = self.find_mapping(addr)
+        if (
+            mapping is not None
+            and addr + length <= mapping.start + mapping.length
+            and (not check_prot or mapping.prot & PROT_READ)
+        ):
+            # Inside one readable mapping: no chunk list, no join.
+            return bytes(mapping.region.read(
+                mapping.region_offset + (addr - mapping.start), length
+            ))
         chunks = []
         cursor = addr
         remaining = length
@@ -405,6 +415,19 @@ class AddressSpace:
         """Write ``data`` at ``addr``; raises :class:`MemoryFault` on a
         hole or a read-only page when ``check_prot`` is set."""
         if not data:
+            return
+        mapping = self.find_mapping(addr)
+        if (
+            mapping is not None
+            and addr + len(data) <= mapping.start + mapping.length
+            and (not check_prot or mapping.prot & PROT_WRITE)
+        ):
+            # Inside one writable mapping: store ``data`` directly (a
+            # snapshot copy only when it is not immutable ``bytes``).
+            mapping.region.write(
+                mapping.region_offset + (addr - mapping.start),
+                data if type(data) is bytes else bytes(data),
+            )
             return
         cursor = addr
         view = memoryview(bytes(data))
@@ -436,11 +459,22 @@ class AddressSpace:
         self.write(addr, (value & 0xFFFFFFFF).to_bytes(4, "little"))
 
     def read_cstr(self, addr: int, maxlen: int = 4096) -> bytes:
-        """Read a NUL-terminated string (without the terminator)."""
+        """Read a NUL-terminated string (without the terminator).
+
+        Like ``strncpy_from_user``, faults only when the cursor itself
+        is unmapped or unreadable: each 64-byte chunk stops at the end
+        of the current mapping, so a string that ends just before a
+        hole reads cleanly.
+        """
         out = bytearray()
         cursor = addr
         while len(out) < maxlen:
-            chunk = self.read(cursor, min(64, maxlen - len(out)))
+            mapping = self.find_mapping(cursor)
+            if mapping is None:
+                raise MemoryFault(cursor, "read", "unmapped address")
+            take = min(64, maxlen - len(out),
+                       mapping.start + mapping.length - cursor)
+            chunk = self.read(cursor, take)
             nul = chunk.find(b"\x00")
             if nul >= 0:
                 out += chunk[:nul]

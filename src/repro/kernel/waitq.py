@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.sim import Event
+from repro.sim import Event, WaitEvent
 
 #: Sentinel delivered to a waiter when a signal interrupts the wait.
 INTERRUPTED = object()
@@ -69,8 +69,6 @@ def wait_interruptible(thread, event: Event, timeout_ns: Optional[int] = None):
     """
     thread.begin_interruptible(event)
     try:
-        from repro.sim import WaitEvent
-
         fired, value = yield WaitEvent(event, timeout_ns)
     finally:
         thread.end_interruptible(event)

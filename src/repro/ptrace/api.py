@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import MonitorError
+from repro.kernel.process import PendingSignal
 from repro.sim import Event, WaitEvent
 
 
@@ -158,8 +159,6 @@ class Tracer:
 
     def inject_signal(self, thread, signo: int, sender_pid: int = 0) -> None:
         """Deliver a previously intercepted signal to the tracee now."""
-        from repro.kernel.process import PendingSignal
-
         self.kernel.queue_signal(thread, PendingSignal(signo, sender_pid))
 
     def interrupt_call(self, thread) -> bool:

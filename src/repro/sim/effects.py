@@ -11,6 +11,10 @@ class Effect:
     Each concrete effect carries a class-level ``_effect_kind`` int tag;
     the simulator dispatches on the tag (one attribute load) instead of
     walking an ``isinstance`` chain per yield.
+
+    Effects are immutable values: the simulator reads one once, when it
+    is yielded, and never writes to it, so a hot path may yield the same
+    instance again and again (the kernel's syscall-entry ``Sleep``).
     """
 
     __slots__ = ()

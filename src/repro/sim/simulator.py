@@ -378,9 +378,13 @@ class Simulator:
         if kind == 1:
             ns = item.ns
             if item.cpu:
-                self._cpu_active += 1
-                factor = max(1.0, self._cpu_active / float(self.cores))
-                ns = int(ns * factor)
+                # Stretch only under contention: at or below the core
+                # count the factor is 1.0, and int(ns * 1.0) == ns for
+                # every ns below 2**53.
+                active = self._cpu_active = self._cpu_active + 1
+                cores = self.cores
+                if active > cores:
+                    ns = int(ns * (active / float(cores)))
                 wake_kind = _WAKE_CPU
             else:
                 wake_kind = _WAKE_SLEEP

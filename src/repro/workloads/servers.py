@@ -35,10 +35,12 @@ calls at different offsets, so such races *will* fire).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from repro.guest.program import Compute, Program
 from repro.kernel import constants as C
+from repro.kernel.structs import POLLFD_SIZE, pack_pollfd, unpack_pollfd
 
 REQUEST_SIZE = 64
 HEADER = b"OK 200\n"
@@ -238,10 +240,6 @@ def _accept_worker(ctx, spec, shared):
 
 def _poll_worker(ctx, spec, shared):
     """poll(2)-based single-threaded loop (thttpd style)."""
-    import struct
-
-    from repro.kernel.structs import POLLFD_SIZE, pack_pollfd, unpack_pollfd
-
     libc = ctx.libc
     resources = yield from _open_resources(ctx, spec)
     listener = shared["listener"]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import GuestFault
 from repro.guest import GuestRuntime
-from repro.guest.program import Compute, Program
+from repro.guest.program import Compute, Program, SyscallProxy
 from repro.kernel import Kernel
 from repro.kernel import constants as C
 from tests.conftest import run_guest
@@ -164,3 +164,21 @@ class TestComputeAccounting:
     def test_negative_compute_rejected(self):
         with pytest.raises(ValueError):
             Compute(-1)
+
+
+class TestSyscallProxy:
+    def test_builders_are_cached_and_build_fresh_requests(self):
+        proxy = SyscallProxy()
+        first = proxy.proxy_cache_probe(3, b"x")
+        assert (first.name, first.args) == ("proxy_cache_probe", (3, b"x"))
+        assert "proxy_cache_probe" in vars(SyscallProxy)
+        builder = proxy.proxy_cache_probe
+        assert builder is SyscallProxy().proxy_cache_probe
+        assert builder.__name__ == "proxy_cache_probe"
+        second = builder(4)
+        assert second is not first
+        assert (second.name, second.args) == ("proxy_cache_probe", (4,))
+
+    def test_dunder_lookups_are_not_cached(self):
+        SyscallProxy().__proxy_probe__
+        assert "__proxy_probe__" not in vars(SyscallProxy)

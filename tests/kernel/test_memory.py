@@ -62,6 +62,20 @@ class TestMapping:
         with pytest.raises(MemoryFault):
             space.read(0xDEAD_0000, 4)
 
+    def test_access_one_byte_past_a_mapping_faults_at_its_end(self):
+        space = make_space()
+        mapping = space.map(0x7000_0000, 4096, RW, fixed=True)
+        for access in (
+            lambda: space.read(mapping.end - 1, 2),
+            lambda: space.write(mapping.end - 1, b"xy"),
+        ):
+            with pytest.raises(MemoryFault) as info:
+                access()
+            assert info.value.addr == mapping.end
+        # Like the chunked path always did, the write stored the bytes
+        # before the hole.
+        assert space.read(mapping.end - 1, 1) == b"x"
+
     def test_write_readonly_faults(self):
         space = make_space()
         mapping = space.map(None, 4096, C.PROT_READ)
@@ -103,6 +117,41 @@ class TestMapping:
         mapping = space.map(None, 4096, RW)
         space.write(mapping.start, b"hello\x00trailing")
         assert space.read_cstr(mapping.start) == b"hello"
+
+    def test_cstr_ending_just_before_a_hole(self):
+        # The NUL sits in the last bytes of a mapping with nothing
+        # mapped after it: the 64-byte chunking must not fault.
+        space = make_space()
+        mapping = space.map(0x7000_0000, 4096, RW, fixed=True)
+        addr = mapping.end - 6
+        space.write(addr, b"hello\x00")
+        assert space.read(addr, 6) == b"hello\x00"
+        assert space.read_cstr(addr) == b"hello"
+
+    def test_cstr_ending_just_before_a_prot_none_page(self):
+        space = make_space()
+        mapping = space.map(0x7000_0000, 4096, RW, fixed=True)
+        space.map(0x7000_1000, 4096, C.PROT_NONE, fixed=True)
+        space.write(mapping.end - 3, b"ok\x00")
+        assert space.read_cstr(mapping.end - 3) == b"ok"
+
+    def test_cstr_running_into_a_hole_faults_at_the_hole(self):
+        space = make_space()
+        mapping = space.map(0x7000_0000, 4096, RW, fixed=True)
+        space.write(mapping.end - 3, b"abc")
+        with pytest.raises(MemoryFault) as info:
+            space.read_cstr(mapping.end - 3)
+        assert (info.value.addr, info.value.reason) == (
+            mapping.end, "unmapped address"
+        )
+        assert space.read_cstr(mapping.end - 3, maxlen=3) == b"abc"
+
+    def test_cstr_crosses_contiguous_mappings(self):
+        space = make_space()
+        first = space.map(0x7000_0000, 4096, RW, fixed=True)
+        space.map(0x7000_1000, 4096, C.PROT_READ, fixed=True)
+        space.write(first.end - 4, b"abcdefgh\x00", check_prot=False)
+        assert space.read_cstr(first.end - 4) == b"abcdefgh"
 
     def test_u32_u64_accessors(self):
         space = make_space()
@@ -290,3 +339,133 @@ def test_property_split_mappings_share_one_sparse_region(cuts, writes):
         else:
             with pytest.raises(MemoryFault):
                 space.read(base + start, 1)
+
+
+def _reference_read(space, addr, length, check_prot=True):
+    """The chunked gather ``AddressSpace.read`` used for every access."""
+    if length == 0:
+        return b""
+    chunks = []
+    cursor = addr
+    remaining = length
+    while remaining > 0:
+        mapping = space.find_mapping(cursor)
+        if mapping is None:
+            raise MemoryFault(cursor, "read", "unmapped address")
+        if check_prot and not mapping.prot & C.PROT_READ:
+            raise MemoryFault(cursor, "read", "page not readable")
+        offset = mapping.region_offset + (cursor - mapping.start)
+        take = min(remaining, mapping.start + mapping.length - cursor)
+        chunks.append(mapping.region.read(offset, take))
+        cursor += take
+        remaining -= take
+    return b"".join(chunks)
+
+
+def _reference_write(space, addr, data, check_prot=True):
+    """The chunked scatter ``AddressSpace.write`` used for every access."""
+    if not data:
+        return
+    cursor = addr
+    view = memoryview(bytes(data))
+    remaining = len(view)
+    consumed = 0
+    while remaining > 0:
+        mapping = space.find_mapping(cursor)
+        if mapping is None:
+            raise MemoryFault(cursor, "write", "unmapped address")
+        if check_prot and not mapping.prot & C.PROT_WRITE:
+            raise MemoryFault(cursor, "write", "page not writable")
+        offset = mapping.region_offset + (cursor - mapping.start)
+        take = min(remaining, mapping.start + mapping.length - cursor)
+        mapping.region.write(offset, view[consumed : consumed + take])
+        cursor += take
+        remaining -= take
+        consumed += take
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MemoryFault as fault:
+        return ("fault", fault.addr, fault.access, fault.reason)
+
+
+_WINDOW = 0x6000_0000
+_runs = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([RW, C.PROT_READ, C.PROT_NONE, None]),  # None = hole
+    ),
+    min_size=1,
+    max_size=4,
+)
+def _space_ops(boundaries):
+    """Reads and writes at random spans and at spans that start or end
+    within a few bytes of a mapping boundary, where the single-mapping
+    test picks its path."""
+    spans = st.one_of(
+        st.tuples(
+            st.integers(min_value=-64, max_value=12 * C.PAGE_SIZE + 64),
+            st.integers(min_value=0, max_value=2 * C.PAGE_SIZE + 100),
+        ),
+        st.builds(
+            lambda edge, before, after: (edge - before, max(0, before + after)),
+            st.sampled_from(boundaries),
+            st.integers(min_value=0, max_value=8),
+            st.integers(min_value=-2, max_value=8),
+        ),
+    )
+    return st.one_of(
+        st.tuples(st.just("read"), spans, st.booleans()),
+        st.tuples(
+            st.just("write"),
+            spans.flatmap(lambda span: st.tuples(
+                st.just(span[0]),
+                st.binary(min_size=span[1], max_size=span[1]),
+                st.sampled_from([bytes, bytearray, memoryview]),
+            )),
+            st.booleans(),
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs=_runs, data=st.data())
+def test_property_single_mapping_path_matches_chunked_reference(runs, data):
+    """Reads and writes — inside one mapping, across mappings, over
+    holes, PROT_NONE and read-only pages, with and without protection
+    checks — give the same bytes (always ``bytes``) and the same faults
+    as the chunked path, and leave the same memory behind."""
+    spaces = (make_space(), make_space())
+    cursor = 0
+    boundaries = [0]
+    for pages, prot in runs:
+        if prot is not None:
+            for space in spaces:
+                space.map(_WINDOW + cursor, pages * C.PAGE_SIZE, prot, fixed=True)
+        cursor += pages * C.PAGE_SIZE
+        boundaries.append(cursor)
+    ops = data.draw(st.lists(_space_ops(boundaries), min_size=1, max_size=20))
+    fast, reference = spaces
+    for kind, arg, check_prot in ops:
+        if kind == "read":
+            offset, length = arg
+            addr = _WINDOW + offset
+            got = _outcome(fast.read, addr, length, check_prot)
+            assert got == _outcome(_reference_read, reference, addr, length, check_prot)
+            if not isinstance(got, tuple):
+                assert type(got) is bytes
+        else:
+            offset, payload, wrap = arg
+            addr = _WINDOW + offset
+            assert _outcome(fast.write, addr, wrap(bytearray(payload)), check_prot) == (
+                _outcome(_reference_write, reference, addr, payload, check_prot)
+            )
+    for mine, theirs in zip(fast.mappings(), reference.mappings()):
+        assert (mine.start, mine.length, mine.prot) == (
+            theirs.start, theirs.length, theirs.prot
+        )
+        assert fast.read(mine.start, mine.length, check_prot=False) == (
+            reference.read(theirs.start, theirs.length, check_prot=False)
+        )
