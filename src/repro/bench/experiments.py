@@ -15,8 +15,10 @@ from repro.workloads.calibrate import calibrate
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
 
-Generated by ``python -m repro.bench.experiments`` (also regenerated
-piecewise by ``pytest benchmarks/ --benchmark-only``). All measurements
+Generated by ``python -m repro.bench.experiments``. The figure, table,
+security and ablation wrappers in ``benchmarks/`` print the same tables
+one by one under ``pytest benchmarks/ --benchmark-only``, which skips
+the engine and lifecycle checks kept there. All measurements
 come from the discrete-event simulation described in DESIGN.md; times
 are virtual nanoseconds, and "normalized execution time" is the
 MVEE-run wall time divided by the native wall time of the same

@@ -8,7 +8,6 @@ SOCKET_RW with 2..7 replicas, plus 2 replicas with IP-MON disabled.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List
 
 from repro.bench.harness import measure_server_overhead
@@ -32,9 +31,7 @@ SCENARIOS = {
 
 
 def replica_counts() -> List[int]:
-    """2..7 replicas, trimmed when REPRO_BENCH_SCALE shrinks runs."""
-    if os.environ.get("REPRO_BENCH_QUICK"):
-        return [2, 4, 7]
+    """The replica counts of the paper's figure: 2..7."""
     return [2, 3, 4, 5, 6, 7]
 
 

@@ -130,56 +130,11 @@ def varan_server_runner(replicas: int = 2):
     return run
 
 
-class _DistHandle:
-    """Topology handle a distributed runner returns to
-    :func:`repro.workloads.clients.run_server_benchmark`."""
-
-    def __init__(self, mvee):
-        self.mvee = mvee
-        self.client_kernel = Kernel(
-            sim=mvee.sim,
-            network=mvee.network,
-            config=KernelConfig(cores=8),
-        )
-        self.server_ip = mvee.nodes[mvee.leader_index].host_ip
-        self.finalize = mvee.finalize
-
-
-def dist_server_runner(
-    replicas: int = 2,
-    link_latency_ns: int = 20_000,
-    replication: str = "selective",
-):
-    """Server runner backed by a :class:`repro.dist.cluster.DistMvee`
-    cluster in external-service mode: the server replicates across
-    ``replicas`` nodes, the client process lives on its own host on the
-    cluster switch, and only the leader accepts its connections. Works
-    for every §5.2 profile with no per-profile glue.
-    """
-    from repro.dist.cluster import DistConfig, DistMvee
-    from repro.dist.selective import fleet_replication
-
-    def run(kernel, program):
-        dconfig = DistConfig(
-            external_service=True,
-            link_latency_ns=link_latency_ns,
-            replication=fleet_replication(full=replication == "full"),
-        )
-        mvee = DistMvee(
-            program,
-            ReMonConfig(replicas=replicas, level=Level.SOCKET_RW, dist=dconfig),
-        )
-        mvee.start()
-        return _DistHandle(mvee)
-
-    return run
-
-
 @lru_cache(maxsize=512)
 def measure_server_overhead(
     server_name: str,
     latency_ns: int,
-    mode: str,  # "native" | "remon" | "ghumvee" | "varan" | "dist" | "dist-full"
+    mode: str,  # "native" | "remon" | "ghumvee" | "varan"
     replicas: int = 2,
     requests: Optional[int] = None,
     concurrency: int = 8,
@@ -205,12 +160,6 @@ def measure_server_overhead(
         runner = remon_server_runner(Level.NO_IPMON, replicas)
     elif mode == "varan":
         runner = varan_server_runner(replicas)
-    elif mode in ("dist", "dist-full"):
-        runner = dist_server_runner(
-            replicas=replicas,
-            link_latency_ns=latency_ns,
-            replication="full" if mode == "dist-full" else "selective",
-        )
     else:
         raise ValueError(mode)
     result = run_server_benchmark(kernel, spec.program(), client_spec, spec.port, runner)

@@ -268,8 +268,17 @@ class CircuitBreaker:
             self.consecutive_slow = 0
         return False
 
+    def record_ack(self) -> None:
+        """Any ack arrived, even one that acknowledges nothing new.
+
+        A duplicate ack still proves the link delivers: the receiver is
+        only holding later batches behind one lost batch. It breaks the
+        failure streak and nothing else."""
+        self.consecutive_failures = 0
+
     def record_success(self) -> bool:
-        """An ack landed. True if this closes a half-open breaker."""
+        """An ack acknowledged new batches. True if this closes a
+        half-open breaker."""
         self.consecutive_failures = 0
         self.consecutive_slow = 0
         if self.state == BREAKER_HALF_OPEN:

@@ -559,6 +559,7 @@ class Transport:
         now = self.sim.now
         acked, samples = window.ack(ack, now)
         breaker = self._breaker(key)
+        breaker.record_ack()
         for sample in samples:
             if self.obs is not None:
                 self.obs.registry.histogram("dist_link_rtt_ns").observe(sample)

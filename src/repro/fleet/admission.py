@@ -11,8 +11,8 @@ configurable policy:
   (ECONNREFUSED) and can back off or retry elsewhere;
 * ``drop`` — the SYN silently vanishes; the client burns its own
   connect timeout (ETIMEDOUT) before noticing. Cheaper for the server,
-  crueller to the client — the sweep in :mod:`repro.bench.fleet`
-  quantifies the difference.
+  crueller to the client — ``tests/fleet/test_offered_load.py``
+  checks both at ~30x overload.
 
 The controller is pure bookkeeping over virtual time: all math is
 integer (token-nanos), so identical runs are bit-identical. The kernel

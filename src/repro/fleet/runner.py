@@ -68,7 +68,7 @@ class FleetResult:
     stats: dict = field(default_factory=dict)
 
     def row(self) -> dict:
-        """One machine-readable sweep row (BENCH_fleet.json shape)."""
+        """One machine-readable row of the run's load and wire figures."""
         client = self.client
         ctl = self.admission
         return {

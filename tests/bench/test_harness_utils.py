@@ -1,9 +1,5 @@
 """Benchmark-harness utility behaviour."""
 
-import os
-
-import pytest
-
 from repro.bench.harness import bench_scale, timed_exhibit_run
 from repro.bench.figure5 import replica_counts
 
@@ -27,13 +23,8 @@ class TestBenchScale:
 
 
 class TestReplicaCounts:
-    def test_full_range_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_QUICK", raising=False)
+    def test_full_range_by_default(self):
         assert replica_counts() == [2, 3, 4, 5, 6, 7]
-
-    def test_quick_mode_trims(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
-        assert replica_counts() == [2, 4, 7]
 
 
 def test_timed_exhibit_run_is_self_contained():

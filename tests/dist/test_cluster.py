@@ -9,6 +9,7 @@ from repro.core import Level, ReMonConfig
 from repro.dist import DistConfig, DistMvee, run_distributed
 from repro.guest.program import Program
 from repro.kernel import constants as C
+from repro.workloads.synthetic import CategoryMix, SyntheticWorkload, build_program
 
 MAX_STEPS = 80_000_000
 
@@ -280,3 +281,25 @@ class TestConfig:
         assert (strict.stats["dist_rendezvous_calls"]
                 > relaxed.stats["dist_rendezvous_calls"])
         assert strict.wall_time_ns > relaxed.wall_time_ns
+
+        # A server-ish mix with socket traffic, over 200 us links: each
+        # relaxation step drains the lockstep lane, and full lockstep
+        # (two link round trips per monitored call) costs more than
+        # twice the fully relaxed run.
+        rate = 260_000.0
+        workload = SyntheticWorkload(
+            name="relax", native_ms=1.0, threads=2,
+            mix=CategoryMix({"base": rate * 0.25, "file_ro": rate * 0.45,
+                             "sock_ro": rate * 0.1, "sock_rw": rate * 0.1,
+                             "mgmt": rate * 0.1}),
+        )
+        runs = [
+            run_distributed(build_program(workload), dist_config(
+                level=level, dist_kwargs={"link_latency_ns": 200_000}),
+                max_steps=MAX_STEPS)
+            for level in (Level.NO_IPMON, Level.NONSOCKET_RW, Level.SOCKET_RW)
+        ]
+        assert not any(run.diverged for run in runs)
+        calls = [run.stats["dist_rendezvous_calls"] for run in runs]
+        assert calls[0] > calls[1] > calls[2]
+        assert runs[0].wall_time_ns > 2 * runs[2].wall_time_ns

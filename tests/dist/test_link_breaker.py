@@ -22,6 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DegradationPolicy, Level, ReMonConfig
+from repro.costs.model import CostModel
 from repro.dist import DistConfig, DistMvee
 from repro.dist.reliable import (
     BREAKER_CLOSED,
@@ -29,11 +30,17 @@ from repro.dist.reliable import (
     BREAKER_OPEN,
     CircuitBreaker,
 )
+from repro.dist.transport import Transport
+from repro.dist.wire import T_CALL_DIGEST, Frame, encode_reliable_batch
 from repro.errors import FaultConfigError
 from repro.faults import FaultInjector, FaultPlan, LinkDegradeFault
+from repro.kernel.sockets import Network
+from repro.sim import Simulator
 from repro.workloads.synthetic import CategoryMix, SyntheticWorkload, build_program
 
 MAX_STEPS = 400_000_000
+
+ADDRS = [("10.1.0.1", 0), ("10.1.1.1", 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +122,89 @@ class TestCircuitBreaker:
         assert not breaker.record_success()
         assert breaker.state == BREAKER_OPEN
 
+    def test_any_ack_breaks_the_failure_streak_only(self):
+        breaker = CircuitBreaker(failure_threshold=3, rtt_factor=2.0,
+                                 slow_threshold=4)
+        breaker.record_rtt(500, 100, now=0)
+        breaker.record_failure(now=10)
+        breaker.record_failure(now=20)
+        breaker.record_ack()
+        assert breaker.consecutive_failures == 0
+        # Only clean RTT samples move the slow streak.
+        assert breaker.consecutive_slow == 1
+        assert not breaker.record_failure(now=30)
+        assert not breaker.record_failure(now=40)
+        assert breaker.record_failure(now=50)
+
+    def test_ack_while_half_open_does_not_close_by_itself(self):
+        breaker = CircuitBreaker(failure_threshold=1)
+        breaker.record_failure(now=0)
+        breaker.begin_probe()
+        breaker.record_ack()
+        assert breaker.state == BREAKER_HALF_OPEN
+
+
+def _reliable_pair(sim):
+    net = Network(latency_ns=100_000)
+    transport = Transport(sim, net, ADDRS, CostModel())
+    transport.enable_reliable()
+    transport.dispatch = lambda dst, frame: None
+    return net, transport
+
+
+def _frame(seq):
+    return Frame(T_CALL_DIGEST, 0, 1, seq)
+
+
+class TestDuplicateAcks:
+    def test_duplicate_ack_resets_the_failure_streak(self):
+        """Batches queued behind one lost batch time out one by one
+        while the receiver can only repeat its old cumulative ack; each
+        repeat must still count as the intervening ack."""
+        sim = Simulator()
+        _net, transport = _reliable_pair(sim)
+        transport.send(0, 1, _frame(0), urgent=True)
+        sim.run()
+        breaker = transport._breaker((0, 1))
+        for now in range(breaker.failure_threshold - 1):
+            breaker.record_failure(now=now)
+        transport._deliver_reliable(1, 0, encode_reliable_batch([], 0, 1))
+        assert breaker.consecutive_failures == 0
+        assert breaker.state == BREAKER_CLOSED
+        assert transport.stats.get("breaker_opens", 0) == 0
+
+    def test_blackhole_without_acks_still_opens_the_breaker(self):
+        sim = Simulator()
+        net, transport = _reliable_pair(sim)
+        net.set_link_directed(ADDRS[0][0], ADDRS[1][0], loss_prob=1.0)
+        for seq in range(4):
+            transport.send(0, 1, _frame(seq), urgent=True)
+        sim.run(until=100_000_000)
+        assert transport.stats["breaker_opens"] >= 1
+        assert transport.stats.get("acks_sent", 0) == 0
+
+
+def test_two_pct_loss_does_not_kill_a_benign_program():
+    """Regression, seed 1002 at 2 % uniform loss on every link: without
+    duplicate acks breaking the failure streak, a retransmit round over
+    the batches queued behind one lost batch opened a breaker and the
+    whole 4-node cluster exited 137."""
+    rate = 900_000.0
+    workload = SyntheticWorkload(
+        name="lifecycle", native_ms=1.0, threads=4, seed=1002,
+        mix=CategoryMix({"base": rate * 0.35, "file_ro": rate * 0.2,
+                         "sock_ro": rate * 0.25, "mgmt": rate * 0.2}),
+    )
+    config = ReMonConfig(
+        replicas=4, level=Level.SOCKET_RO,
+        dist=DistConfig(link_latency_ns=100_000, link_loss_prob=0.02),
+    )
+    result = DistMvee(build_program(workload), config).run(max_steps=MAX_STEPS)
+    assert not result.diverged, result.divergence
+    assert result.exit_codes == [0, 0, 0, 0]
+    assert result.stats["dist_retransmits"] > 0
+    assert result.stats.get("dist_breaker_opens", 0) == 0
+
 
 # ---------------------------------------------------------------------------
 # Fault validation
@@ -192,6 +282,7 @@ class TestLinkBreakerEndToEnd:
 
         # The degraded follower rejoined: flag cleared, nobody quarantined.
         assert all(not node.link_degraded for node in mvee.nodes)
+        assert result.quarantined_replicas == []
         assert mvee.nodes[0].kernel.fault_injector.stats["link_degrades"] == 1
 
         # The episode is audit-visible as a benign "link" fault event,

@@ -57,11 +57,11 @@ def _workload(threads=4, native_ms=0.5):
     )
 
 
-def run_sharded(plan=None, nodes=4, shards=2, threads=4):
+def run_sharded(plan=None, nodes=4, shards=2, threads=4, latency_ns=100_000):
     config = ReMonConfig(
         replicas=nodes, level=Level.NO_IPMON,
         degradation=DegradationPolicy(min_quorum=2),
-        dist=DistConfig(link_latency_ns=100_000, shard_rendezvous=True,
+        dist=DistConfig(link_latency_ns=latency_ns, shard_rendezvous=True,
                         rendezvous_shards=shards),
     )
     mvee = DistMvee(build_program(_workload(threads=threads)), config)
@@ -158,6 +158,39 @@ class TestOwnerCrashBlastRadius:
         _b_mvee, b = run_sharded(plan=plan)
         assert a.wall_time_ns == b.wall_time_ns
         assert a.stats == b.stats
+
+
+@pytest.mark.parametrize("latency_ns", [50_000, 200_000])
+def test_recovery_cost_depends_on_who_dies(latency_ns):
+    """At every link latency: killing a shard owner (the leader is one)
+    costs billed handoff work, killing a non-owner follower bumps the
+    epoch but is free, and no membership change costs nothing."""
+
+    def run(fault):
+        plan = FaultPlan([fault]) if fault is not None else None
+        mvee, result = run_sharded(plan=plan, latency_ns=latency_ns)
+        assert not result.diverged, result.divergence
+        return mvee, result.stats
+
+    mvee, free = run(None)
+    assert mvee.epoch == 0 and "dist_handoff_cost_ns" not in free
+    assert free["replicas_quarantined"] == 0
+
+    mvee, owner = run(ShardOwnerCrashFault(at_ns=2_000_000))
+    assert mvee.epoch == 1 and owner["dist_handoff_cost_ns"] > 0
+    assert owner["dist_handoff_lost_rounds"] > 0
+    assert owner["dist_round_resubmits"] >= owner["dist_handoff_lost_rounds"]
+
+    mvee, follower = run(CrashFault(replica=3, at_ns=2_000_000))
+    assert mvee.epoch == 1 and follower["dist_handoff_cost_ns"] == 0
+    assert follower["dist_handoff_lost_rounds"] == 0
+    assert follower["dist_round_resubmits"] == 0
+
+    _mvee, leader = run(CrashFault(replica=0, at_ns=2_000_000))
+    assert leader["master_promotions"] == 1
+    assert leader["dist_handoff_cost_ns"] > 0
+    assert (leader["dist_handoff_rounds"]
+            + leader["dist_handoff_lost_rounds"]) > 0
 
 
 class TestStaleEpochGate:

@@ -90,6 +90,16 @@ def test_three_node_full_replication_ships_more_bytes():
     assert selective.row()["completed"] == full.row()["completed"] == 12
     assert full.row()["wire_bytes"] > selective.row()["wire_bytes"]
 
+    # A file-serving profile with keepalive: full replication ships every
+    # reproducible result (preads, log writes, clock reads) the followers
+    # could have computed, so it pays more than twice the wire bytes.
+    keepalive = dict(server="lighttpd-wrk", connections=32,
+                     requests_per_conn=4, connect_pace_ns=500_000)
+    selective = run_fleet(_small(replication="selective", **keepalive)).row()
+    full = run_fleet(_small(replication="full", **keepalive)).row()
+    assert selective["completed"] == full["completed"] == 128
+    assert full["wire_bytes"] > 2 * selective["wire_bytes"]
+
 
 def test_external_service_requires_socket_rw():
     spec = SERVERS["redis"]

@@ -3,12 +3,32 @@ name the diverging replica, syscall, and mismatched argument."""
 
 import json
 
-from repro.bench.obs import run_seeded_divergence
 from repro.core import DegradationPolicy, Level, ReMon, ReMonConfig
 from repro.faults import CrashFault, FaultInjector, FaultPlan
 from repro.guest.program import Program
 from repro.kernel import Kernel
-from repro.obs import FlightRecorder, ObsConfig
+from repro.obs import FlightRecorder, ObsConfig, write_postmortem
+
+
+def run_seeded_divergence(obs_cfg=None):
+    """Replica 1 opens a different path than replica 0, so the GHUMVEE
+    rendezvous argument comparison catches it on ``open``. Returns the
+    diverged result and its MVEE."""
+
+    def main(ctx):
+        path = "/data/a" if ctx.process.replica_index == 0 else "/data/b"
+        fd = yield from ctx.libc.open(path)
+        del fd
+        return 0
+
+    if obs_cfg is None:
+        obs_cfg = ObsConfig(spans=True, flight_recorder=True, ring_size=32)
+    program = Program("seeded-divergence", main,
+                      files={"/data/a": b"x", "/data/b": b"y"})
+    mvee = ReMon(Kernel(), program, ReMonConfig(obs=obs_cfg))
+    result = mvee.run(max_steps=20_000_000)
+    assert result.diverged, "seeded divergence did not trigger"
+    return result, mvee
 
 
 class TestRingBounds:
@@ -65,12 +85,18 @@ class TestSeededDivergencePostmortem:
         assert "rendezvous_backoff_retries" in postmortem.backoff
         assert "rb_backoff_retries" in postmortem.backoff
 
-    def test_postmortem_serializes_both_ways(self):
+    def test_postmortem_serializes_both_ways(self, tmp_path):
         result, _mvee = run_seeded_divergence()
         postmortem = result.postmortem
         encoded = json.dumps(postmortem.to_json())
         decoded = json.loads(encoded)
         assert decoded["replica"] == 1 and decoded["syscall"] == "open"
+        path = tmp_path / "postmortem.json"
+        write_postmortem(str(path), postmortem)
+        written = json.loads(path.read_text())
+        assert written["replica"] == 1 and written["syscall"] == "open"
+        assert "arg 0 differs in replica 1" in written["detail"]
+        assert written["tails"]["0"] and written["tails"]["1"]
         text = postmortem.to_text()
         assert "diverging replica: 1" in text
         assert "replica 1 tail" in text

@@ -38,12 +38,13 @@ def test_traced_run_exports_parse(tmp_path):
 
     events = [json.loads(line)
               for line in trace_path.read_text().splitlines()]
-    assert events
+    assert events and len(events) == len(mvee.obs.tracer.events)
     assert all(0 <= event["t"] <= result.wall_time_ns for event in events)
     assert {"kernel", "ghumvee"} <= {event["component"] for event in events}
 
     prom = prom_path.read_text()
     assert "# TYPE repro_rendezvous_wait_ns histogram" in prom
+    assert 'repro_rendezvous_wait_ns_bucket{le="+Inf"}' in prom
     assert "repro_stat_monitored_calls" in prom
     # Legacy stats still present and exported as gauges.
     assert result.stats["monitored_calls"] > 0

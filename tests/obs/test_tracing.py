@@ -1,6 +1,8 @@
 """Span tracing: the zero-cost-when-disabled contract, choke-point span
 coverage, and the typed simulator trace sink."""
 
+import functools
+
 import pytest
 
 from repro.core import Level, ReMon, ReMonConfig
@@ -8,13 +10,16 @@ from repro.guest.program import Program
 from repro.kernel import Kernel
 from repro.obs import ObsConfig
 from repro.sim import Simulator, Sleep, TraceEvent
+from repro.workloads.calibrate import calibrate
+from repro.workloads.profiles import PARSEC_BENCHMARKS, derive_workload
+from repro.workloads.synthetic import build_program
 
 
 def run_mvee(program, obs=None, level=Level.NONSOCKET_RW, replicas=2):
     kernel = Kernel()
     mvee = ReMon(kernel, program, ReMonConfig(replicas=replicas, level=level,
                                               obs=obs))
-    result = mvee.run(max_steps=20_000_000)
+    result = mvee.run(max_steps=400_000_000)
     assert not result.diverged, result.divergence
     return mvee, result
 
@@ -56,6 +61,37 @@ class TestZeroCostWhenDisabled:
         assert spans_a.wall_time_ns <= 1.10 * base.wall_time_ns
         # Deterministic: same config, same clock.
         assert spans_a.wall_time_ns == spans_b.wall_time_ns
+
+
+@functools.lru_cache(maxsize=None)
+def parsec_workload(name):
+    profile = next(b for b in PARSEC_BENCHMARKS if b.name == name)
+    return derive_workload(profile, calibrate())
+
+
+@pytest.mark.parametrize("level", [Level.NO_IPMON, Level.NONSOCKET_RW],
+                         ids=lambda level: level.name)
+@pytest.mark.parametrize("bench", ["blackscholes", "dedup"])
+def test_obs_overhead_on_figure3_workloads(bench, level):
+    """The same contract on two full Figure-3 workloads, a light one and
+    the most syscall-heavy one: metrics-only is free, spans and spans +
+    flight recorder cost under 10 %, and the wait histograms fill."""
+    workload = parsec_workload(bench)
+
+    def run(obs):
+        return run_mvee(build_program(workload), obs=obs, level=level)
+
+    _, base = run(None)
+    metrics_mvee, metrics = run(ObsConfig())
+    spans_mvee, spans = run(ObsConfig(spans=True))
+    _, full = run(ObsConfig(spans=True, flight_recorder=True))
+    assert metrics.wall_time_ns == base.wall_time_ns
+    assert base.wall_time_ns <= spans.wall_time_ns <= 1.10 * base.wall_time_ns
+    assert full.wall_time_ns <= 1.10 * base.wall_time_ns
+    hist = metrics_mvee.obs.registry.histograms["rendezvous_wait_ns"]
+    assert hist.count > 0
+    assert hist.percentile(50) <= hist.percentile(99)
+    assert spans_mvee.obs.tracer.events
 
 
 class TestSpanCoverage:

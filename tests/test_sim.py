@@ -18,6 +18,19 @@ def test_sleep_advances_virtual_time():
     assert sim.now == 350
 
 
+def test_every_sleep_is_one_step():
+    sim = Simulator()
+
+    def ticker():
+        for _ in range(2000):
+            yield Sleep(10)
+
+    sim.spawn(ticker(), "t")
+    sim.run()
+    assert sim.steps >= 2000
+    assert sim.now == 20_000
+
+
 def test_tasks_interleave_deterministically():
     sim = Simulator()
     log = []

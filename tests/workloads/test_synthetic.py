@@ -151,4 +151,6 @@ class TestProfileDerivation:
         cal = calibrate()
         assert 1_000 < cal.t_mon_ns < 200_000  # microseconds-scale
         assert 100 < cal.t_ipmon_ns < 20_000  # sub-microsecond-ish
-        assert cal.t_mon_ns > 5 * cal.t_ipmon_ns
+        # The regime the paper's design lives in: CP monitoring costs
+        # one to two orders of magnitude more than in-process replication.
+        assert 5 * cal.t_ipmon_ns < cal.t_mon_ns <= 200 * cal.t_ipmon_ns
