@@ -108,11 +108,7 @@ def run_attack_dist(
     config = ReMonConfig(
         replicas=nodes,
         level=level,
-        dist=DistConfig(
-            nodes=nodes,
-            heterogeneous=heterogeneous,
-            **(dist_kwargs or {}),
-        ),
+        dist=DistConfig(heterogeneous=heterogeneous, **(dist_kwargs or {})),
         **config_kwargs,
     )
     mvee = DistMvee(program, config)

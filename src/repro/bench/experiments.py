@@ -6,7 +6,6 @@ Run as:  python -m repro.bench.experiments [output-path]
 from __future__ import annotations
 
 import sys
-import time
 
 from repro.bench import ablations, figure3, figure4, figure5, security, table2
 from repro.bench.harness import bench_scale
@@ -68,7 +67,6 @@ FOOTNOTES = """\
 
 def build(report=print) -> str:
     sections = [HEADER.format(calibration=repr(calibrate()))]
-    t0 = time.time()
 
     report("figure 3 (parsec)...")
     sections.append("## Figure 3 — PARSEC 2.1 & SPLASH-2x\n")
@@ -121,8 +119,7 @@ def build(report=print) -> str:
 
     sections.append(FOOTNOTES)
     sections.append(
-        "\n*Generated in %.0f s at REPRO_BENCH_SCALE=%.2f.*\n"
-        % (time.time() - t0, bench_scale())
+        "\n*Generated at REPRO_BENCH_SCALE=%.2f.*\n" % bench_scale()
     )
     return "\n".join(sections)
 

@@ -233,7 +233,7 @@ class LockstepContext:
                         ),
                     )
                 return
-            ghumvee.divergence(
+            ghumvee.remon.divergence(
                 DivergenceReport(
                     ghumvee.kernel.sim.now,
                     self.vtid,
@@ -326,7 +326,7 @@ class LockstepContext:
             cpu=True,
         )
         if mismatch is not None:
-            ghumvee.divergence(
+            ghumvee.remon.divergence(
                 DivergenceReport(
                     ghumvee.kernel.sim.now,
                     self.vtid,
@@ -453,7 +453,7 @@ class LockstepContext:
         # agree on success vs failure.
         ok = [isinstance(r, int) and r >= -4095 and r < 0 for r in results]
         if any(ok) and not all(ok):
-            ghumvee.divergence(
+            ghumvee.remon.divergence(
                 DivergenceReport(
                     ghumvee.kernel.sim.now,
                     self.vtid,
@@ -811,7 +811,7 @@ class LockstepContext:
             return
         if self.entry_stops or self.exit_stops:
             parked = [s.thread.name for s in self.entry_stops.values()]
-            self.ghumvee.divergence(
+            self.ghumvee.remon.divergence(
                 DivergenceReport(
                     self.ghumvee.kernel.sim.now,
                     self.vtid,
@@ -991,7 +991,3 @@ class Ghumvee:
                 pass
             return filtered, len(filtered)
         return data, result
-
-    # ------------------------------------------------------------------
-    def divergence(self, report: DivergenceReport) -> None:
-        self.remon.divergence(report)

@@ -1,9 +1,10 @@
 """The distributed MVEE: N single-replica nodes on one simulated switch.
 
-:class:`DistMvee` mirrors :class:`repro.core.ReMon`'s public surface
+:class:`DistMvee` shares :class:`repro.core.ReMon`'s fault policy and
+public surface through :class:`~repro.core.supervisor.Supervisor`
 (``run`` → :class:`MveeResult`, ``divergence``/``replica_fault``/
-``quarantine`` events, a :class:`~repro.core.remon.ReplicaGroup` the
-fault injector binds to) but the replicas live on different simulated
+``quarantine`` events, a :class:`~repro.core.supervisor.ReplicaGroup`
+the fault injector binds to) but the replicas live on different simulated
 machines: each node owns a full kernel and filesystem image, all nodes
 share one discrete-event clock and one :class:`Network`, and monitor
 traffic rides the batched :class:`~repro.dist.transport.Transport`.
@@ -40,10 +41,9 @@ from repro.core.epoll_map import EpollShadowMap
 from repro.core.events import DivergenceReport, MveeResult
 from repro.core.handlers import build_handler_table
 from repro.core.policies import Level
-from repro.core.remon import ReMonConfig, ReplicaGroup
-from repro.obs import Obs
+from repro.core.remon import ReMonConfig
+from repro.core.supervisor import Supervisor
 from repro.dist.node import DistInterceptor, Node, ReplicaView
-from repro.dist.reliable import CircuitBreaker, RetransmitPolicy
 from repro.dist.selective import (
     CLS_CONTROL,
     CLS_HANDOFF,
@@ -60,7 +60,6 @@ from repro.dist.transport import CODECS, Transport
 from repro.dist.wire import (
     Frame,
     T_CALL_DIGEST,
-    T_CONTROL,
     T_LIFECYCLE_GOSSIP,
     T_LIFECYCLE_STATE,
     T_RENDEZVOUS_OK,
@@ -73,7 +72,7 @@ from repro.dist.wire import (
     parse_digest_payload,
 )
 from repro.diversity.aslr import make_layouts
-from repro.diversity.profile import make_node_profiles
+from repro.diversity.profile import export_profile_stats, make_node_profiles
 from repro.errors import MonitorError
 from repro.guest.program import Program
 from repro.guest.runtime import GuestRuntime
@@ -92,76 +91,57 @@ __all__ = [
 ]
 
 
+#: Every inter-node link's bandwidth (``Network`` defaults to unlimited).
+LINK_BANDWIDTH_BPS = 1e9
+
+#: Scheduler cores per node kernel (``KernelConfig`` defaults to 16).
+NODE_CORES = 8
+
+#: Rendezvous verdicts are applied on every node at a *scheduled*
+#: instant (owner completion + link latency + this slack) rather than at
+#: frame arrival: arrival-order release wakes threads in node-dependent
+#: order — variable batch serialization can swap two nearby releases,
+#: and the broadcaster itself would wake in completion order — which
+#: desynchronizes shared-namespace allocation (fd numbers, memory races)
+#: across nodes. The slack covers batch serialization and jitter so the
+#: release frame is physically on every node before its delivery time
+#: (urgent release batches are tens of bytes; an occasional frame
+#: landing after its instant only means the uniform apply ran a hair
+#: early).
+RELEASE_SLACK_NS = 2_000
+
+
 @dataclass
 class DistConfig:
-    """Distributed-execution knobs, attached to ``ReMonConfig.dist``."""
+    """Distributed-execution knobs, attached to ``ReMonConfig.dist``.
 
-    #: Node count (None = one node per replica from ReMonConfig.replicas).
-    nodes: Optional[int] = None
-    node_cores: int = 8
-    #: One-way latency / bandwidth / jitter of every inter-node link.
+    The cluster runs one node per ``ReMonConfig.replicas`` and takes its
+    observability settings from ``ReMonConfig.obs``."""
+
+    #: One-way latency / jitter of every inter-node link.
     link_latency_ns: int = 100_000
-    link_bandwidth_bps: Optional[float] = 1e9
     link_jitter_ns: int = 0
     #: Transport coalescing: flush a channel at this many pending bytes
-    #: or after this long, whichever comes first.
+    #: (or when its flush timer fires).
     batch_bytes: int = 4096
-    flush_interval_ns: int = 50_000
     replication: SelectiveReplication = field(
         default_factory=selective_replication
     )
     #: A node waiting longer than this on a peer declares it stalled.
     stall_timeout_ns: int = 400_000_000
-    backoff_initial_ns: int = 100_000
-    backoff_max_ns: int = 16_000_000
-    #: Crash-detection lag (None = costs.dist_crash_detect_ns + link latency).
-    crash_detect_ns: Optional[int] = None
     #: Fast path (off by default). ``shard_rendezvous`` spreads rendezvous
     #: rounds across nodes by (vtid, seq) hash instead of serializing them
     #: all through the leader's monitor; ``rendezvous_shards`` caps how
     #: many nodes own shards (None = every live node).
     shard_rendezvous: bool = False
     rendezvous_shards: Optional[int] = None
-    #: Rendezvous verdicts are applied on every node at a *scheduled*
-    #: instant (owner completion + link latency + this slack) rather
-    #: than at frame arrival: arrival-order release wakes threads in
-    #: node-dependent order — variable batch serialization can swap two
-    #: nearby releases, and the broadcaster itself would wake in
-    #: completion order — which desynchronizes shared-namespace
-    #: allocation (fd numbers, memory races) across nodes. The slack
-    #: covers batch serialization and jitter so the release frame is
-    #: physically on every node before its delivery time (urgent
-    #: release batches are tens of bytes; an occasional frame landing
-    #: after its instant only means the uniform apply ran a hair early).
-    release_slack_ns: int = 2_000
     #: RB mirror payload codec: None (raw), "rle", or "dict" (RLE plus a
     #: per-channel dictionary over repeated reads). See repro.dist.codec.
     compress: Optional[str] = None
-    #: WAN fault knobs applied to every inter-node link (per-link values
-    #: go through ``Network.set_link`` / ``LinkDegradeFault``). Any
-    #: nonzero probability auto-enables the reliable transport.
+    #: Packet loss on every inter-node link (per-link values go through
+    #: ``Network.set_link`` / ``LinkDegradeFault``). A lossy network, or
+    #: a planned ``LinkDegradeFault``, enables the reliable transport.
     link_loss_prob: float = 0.0
-    link_dup_prob: float = 0.0
-    link_reorder_prob: float = 0.0
-    #: Force the reliable (seq/ack/retransmit) transport on or off;
-    #: None = enable exactly when some link can lose/dup/reorder.
-    reliable_links: Optional[bool] = None
-    #: Retransmission backoff (see repro.dist.reliable.RetransmitPolicy)
-    #: and per-channel send window.
-    retransmit_initial_ns: int = 800_000
-    retransmit_cap_ns: int = 12_800_000
-    retransmit_window: int = 32
-    #: Per-link circuit breaker thresholds (repro.dist.reliable.
-    #: CircuitBreaker): consecutive retransmissions / slow RTT samples
-    #: that open a link, and the half-open probe cooldown schedule.
-    breaker_failure_threshold: int = 8
-    breaker_rtt_factor: float = 4.0
-    breaker_slow_threshold: int = 16
-    breaker_cooldown_ns: int = 50_000_000
-    breaker_cooldown_cap_ns: int = 400_000_000
-    #: Observability (repro.obs.ObsConfig). None falls back to
-    #: ``ReMonConfig.obs``, then to metrics-only defaults.
-    obs: Optional[object] = None
     #: External-service mode (repro.fleet): the replicated program
     #: serves clients that live *outside* the cluster and reach the
     #: leader's node only. accept() executes leader-only with followers
@@ -613,8 +593,32 @@ class DistMonitor:
                 ),
             )
 
+    def export_stats(self, registry) -> None:
+        """Publish the monitor's counters and rounds by owner. Recovery
+        accounting (the handoff family, ``dist_epoch`` and the epoch
+        gate's stale drops) exists only once a membership change moved
+        the epoch: a fault-free run's stats stay byte-identical to the
+        pre-shard monitor."""
+        registry.ingest("dist_", self.stats, source="monitor")
+        by_owner = self.rounds_by_owner
+        # Owners that actually serviced rounds (shard_owners() shrinks to
+        # the leader once every node has exited cleanly, so it is not a
+        # faithful after-the-fact count).
+        registry.expose("dist_shards", len(by_owner) or 1)
+        for owner, count in sorted(by_owner.items()):
+            registry.expose("dist_rounds_owner_%d" % owner, count)
+        registry.expose("dist_rounds_owner_max", max(by_owner.values(), default=0))
+        epoch = self.mvee.epoch
+        if epoch:
+            registry.expose("dist_epoch", epoch)
+            for key in sorted(self.handoff_stats):
+                registry.expose("dist_" + key, self.handoff_stats[key])
+            registry.expose(
+                "dist_stale_drops", self.mvee.transport.stats["stale_drops"]
+            )
 
-class DistMvee:
+
+class DistMvee(Supervisor):
     """An MVEE whose replicas run on separate simulated nodes.
 
     Typical use::
@@ -624,24 +628,25 @@ class DistMvee:
     """
 
     def __init__(self, program: Program, config: Optional[ReMonConfig] = None):
-        self.program = program
-        self.config = config or ReMonConfig(dist=DistConfig())
-        dconfig = self.config.dist
+        config = config or ReMonConfig(dist=DistConfig())
+        dconfig = config.dist
         if dconfig is None:
             dconfig = DistConfig()
         if not isinstance(dconfig, DistConfig):
             raise MonitorError(
                 "ReMonConfig.dist must be a DistConfig, got %r" % (dconfig,)
             )
-        self.dconfig = dconfig
         if dconfig.compress is not None and dconfig.compress not in CODECS:
             raise MonitorError(
                 "DistConfig.compress must be None or one of %r, got %r"
                 % (CODECS, dconfig.compress)
             )
-        self.n = dconfig.nodes if dconfig.nodes is not None else self.config.replicas
+        self.n = config.replicas
         if self.n < 1:
             raise MonitorError("a distributed MVEE needs at least one node")
+        super().__init__(config, Simulator(cores=NODE_CORES * self.n))
+        self.program = program
+        self.dconfig = dconfig
         self.solo = self.n == 1
         self.policy = self.config.policy()
         self.replication = dconfig.replication
@@ -660,11 +665,7 @@ class DistMvee:
                 self.replication.external = True
                 self.replication._memo.clear()
         self.handlers = build_handler_table(self.policy.unmonitored_set())
-        self.group = ReplicaGroup()
         self.epoll_map = EpollShadowMap(self.n)
-        self.result = MveeResult()
-        self.shutting_down = False
-        self.master_exit_ns: Optional[int] = None
         self.stats = {
             "local_calls": 0,
             "replicated_calls": 0,
@@ -677,32 +678,15 @@ class DistMvee:
             "failover_rebroadcasts": 0,
             "control_frames": 0,
         }
-        self.degradation_stats = {
-            "replicas_quarantined": 0,
-            "master_promotions": 0,
-        }
-        #: Soft link degradation (circuit breaker) accounting; folded
-        #: into the stats view only when the transport runs reliable.
-        self.wan_stats = {"link_degrades": 0, "link_restores": 0}
         #: victim index -> set of (src, dst) links currently open against
         #: it; the victim is restored only when the set drains.
         self._down_links: Dict[int, set] = {}
-        self.sim = Simulator(cores=dconfig.node_cores * self.n)
-        self.obs = Obs.create(
-            dconfig.obs if dconfig.obs is not None
-            else getattr(self.config, "obs", None),
-            self.sim,
-        )
-        if self.obs.tracer.enabled and self.sim.trace_sink is None:
-            self.sim.trace_sink = self.obs.tracer
         self.network = Network(
             latency_ns=dconfig.link_latency_ns,
-            bandwidth_bps=dconfig.link_bandwidth_bps,
+            bandwidth_bps=LINK_BANDWIDTH_BPS,
             jitter_ns=dconfig.link_jitter_ns,
             jitter_seed=self.config.seed or 0x5EED,
             loss_prob=dconfig.link_loss_prob,
-            dup_prob=dconfig.link_dup_prob,
-            reorder_prob=dconfig.link_reorder_prob,
             fault_seed=(self.config.seed or 0) ^ 0xFA17,
         )
         self.nodes: List[Node] = []
@@ -747,10 +731,6 @@ class DistMvee:
     @property
     def leader_index(self) -> int:
         return self.group.master_index
-
-    @property
-    def diverged(self) -> bool:
-        return self.result.diverged
 
     # ------------------------------------------------------------------
     # Construction
@@ -804,16 +784,12 @@ class DistMvee:
             [(node.host_ip, 0) for node in self.nodes],
             self.nodes[0].kernel.config.costs,
             batch_bytes=dconfig.batch_bytes,
-            flush_interval_ns=dconfig.flush_interval_ns,
             codec=dconfig.compress,
         )
         self.transport.obs = self.obs
         self.transport.dispatch = self._dispatch
         self.transport.stale_filter = self._stale_frame
-        reliable = dconfig.reliable_links
-        if reliable is None:
-            reliable = self.network.lossy()
-        if reliable:
+        if self.network.lossy():
             self._enable_reliable_transport()
 
     def node_kernel(self) -> Kernel:
@@ -822,7 +798,7 @@ class DistMvee:
         program's files and the membership bump on process exit."""
         kernel = Kernel(
             sim=self.sim,
-            config=KernelConfig(cores=self.dconfig.node_cores),
+            config=KernelConfig(cores=NODE_CORES),
             network=self.network,
         )
         kernel.attach_obs(self.obs)
@@ -838,21 +814,7 @@ class DistMvee:
         degradation path. Idempotent; must run before any traffic."""
         if self.transport.reliable:
             return
-        dconfig = self.dconfig
-        self.transport.enable_reliable(
-            policy=RetransmitPolicy(
-                initial_ns=dconfig.retransmit_initial_ns,
-                cap_ns=dconfig.retransmit_cap_ns,
-            ),
-            window=dconfig.retransmit_window,
-            breaker_factory=lambda: CircuitBreaker(
-                failure_threshold=dconfig.breaker_failure_threshold,
-                rtt_factor=dconfig.breaker_rtt_factor,
-                slow_threshold=dconfig.breaker_slow_threshold,
-                cooldown_ns=dconfig.breaker_cooldown_ns,
-                cooldown_cap_ns=dconfig.breaker_cooldown_cap_ns,
-            ),
-        )
+        self.transport.enable_reliable()
         self.transport.on_link_down = self._on_link_down
         self.transport.on_link_up = self._on_link_up
 
@@ -965,7 +927,7 @@ class DistMvee:
         visibility: verdicts are applied on every node (owner included)
         at owner-completion + this lag, so releases reach all nodes in
         one global order — see :meth:`DistMonitor._complete`."""
-        return self.dconfig.link_latency_ns + self.dconfig.release_slack_ns
+        return self.dconfig.link_latency_ns + RELEASE_SLACK_NS
 
     def missing_participant(self, vtid: int, seq: int,
                             reporter: int) -> Optional[int]:
@@ -1074,132 +1036,25 @@ class DistMvee:
         if self.lifecycle is not None:
             self.lifecycle.start()
 
-    def run(self, until: Optional[int] = None,
-            max_steps: Optional[int] = None) -> MveeResult:
-        self.start()
-        self.sim.run(until=until, max_steps=max_steps)
-        return self.finalize()
-
-    def finalize(self) -> MveeResult:
-        for node in self.nodes:
-            if node.process.quarantined:
-                continue
-            for thread in node.process.threads.values():
-                task = thread.task
-                if task is not None and task.failure is not None:
-                    raise task.failure
-        result = self.result
-        result.exit_codes = [node.process.exit_code for node in self.nodes]
-        result.wall_time_ns = (
-            self.master_exit_ns if self.master_exit_ns is not None else self.sim.now
-        )
+    def _collect_stats(self, result: MveeResult, registry) -> None:
         result.monitored_calls = self.stats["rendezvous_calls"]
         result.unmonitored_calls = (
             self.stats["local_calls"]
             + self.stats["replicated_calls"]
             + self.stats["adopted_results"]
         )
-        # Stats assembly goes through the obs registry adapter: the two
-        # live component dicts are ingested under the dist_ prefix, the
-        # derived scalars are exposed, and the rendered view is
-        # byte-identical to the old hand-built dict.
-        registry = self.obs.registry
+        # Each component exports its own family, including whatever it
+        # publishes only when enabled; fault-free runs, loss-free links
+        # and homogeneous profiles keep a byte-identical stats view.
         registry.ingest("dist_", self.stats, source="mvee")
-        registry.ingest("dist_", self.monitor.stats, source="monitor")
         registry.expose("dist_nodes", self.n)
-        registry.expose("dist_messages", self.transport.stats["messages_sent"])
-        registry.expose("dist_wire_bytes", self.transport.stats["wire_bytes"])
-        registry.expose("dist_frames", self.transport.stats["frames_sent"])
-        registry.expose("dist_frame_bytes", self.transport.stats["frame_bytes"])
-        registry.expose("dist_wire_errors", self.transport.stats["wire_errors"])
-        for key in ("flushes_size", "flushes_timer", "flushes_urgent",
-                    "payload_raw_bytes", "payload_coded_bytes",
-                    "codec_raw", "codec_rle", "codec_dict"):
-            registry.expose("dist_" + key, self.transport.stats[key])
-        # Owners that actually serviced rounds (shard_owners() shrinks to
-        # the leader once every node has exited cleanly, so it is not a
-        # faithful after-the-fact count).
-        registry.expose("dist_shards", len(self.monitor.rounds_by_owner) or 1)
-        for owner, count in sorted(self.monitor.rounds_by_owner.items()):
-            registry.expose("dist_rounds_owner_%d" % owner, count)
-        registry.expose(
-            "dist_rounds_owner_max",
-            max(self.monitor.rounds_by_owner.values(), default=0),
-        )
-        if self.epoch:
-            # Recovery accounting exists only once a membership change
-            # happened: a fault-free run's stats stay byte-identical to
-            # the pre-shard monitor (the PR-4 adapter contract).
-            registry.expose("dist_epoch", self.epoch)
-            for key in sorted(self.monitor.handoff_stats):
-                registry.expose("dist_" + key, self.monitor.handoff_stats[key])
-            registry.expose(
-                "dist_stale_drops", self.transport.stats["stale_drops"]
-            )
-        for cls, nbytes in sorted(self.transport.bytes_by_class.items()):
-            registry.expose("dist_bytes_" + cls, nbytes)
-        for cls, count in sorted(self.transport.frames_by_class.items()):
-            registry.expose("dist_frames_" + cls, count)
-        tstats = self.transport.stats
-        if self.transport.reliable:
-            # Reliability accounting exists only when the transport runs
-            # in reliable mode: loss-free legacy runs keep a stats view
-            # byte-identical to the pre-reliability design.
-            for key in ("retransmits", "retransmit_bytes", "acks_sent",
-                        "dup_batches_dropped", "ooo_batches",
-                        "window_stalls", "probes_sent", "breaker_opens",
-                        "breaker_closes"):
-                registry.expose("dist_" + key, tstats.get(key, 0))
-            registry.expose("net_segments_lost", self.network.segments_lost)
-            registry.expose(
-                "net_segments_duplicated", self.network.segments_duplicated
-            )
-            registry.expose(
-                "net_segments_reordered", self.network.segments_reordered
-            )
-            registry.expose("dist_link_degrades", self.wan_stats["link_degrades"])
-            registry.expose("dist_link_restores", self.wan_stats["link_restores"])
-        for key in ("codec_downgrades", "codec_upgrades", "frames_dropped"):
-            if tstats.get(key, 0):
-                registry.expose("dist_" + key, tstats[key])
-        for cls, count in sorted(self.transport.frames_dropped_by_class.items()):
-            registry.expose("dist_frames_dropped_" + cls, count)
-        registry.expose(
-            "replicas_quarantined",
-            self.degradation_stats["replicas_quarantined"],
-        )
-        registry.expose(
-            "master_promotions", self.degradation_stats["master_promotions"]
-        )
-        injector = getattr(self.nodes[0].kernel, "fault_injector", None)
-        registry.expose(
-            "faults_injected",
-            injector.total_injected if injector is not None else 0,
-        )
-        if self.dconfig.heterogeneous:
-            # Diversity accounting exists only under per-node profiles:
-            # homogeneous runs keep a stats view bit-identical to the
-            # pre-profile design (the §13 invisibility contract).
-            registry.expose("dist_heterogeneous", 1)
-            registry.expose(
-                "dist_abi_variants",
-                len({node.profile.abi for node in self.nodes}),
-            )
-            registry.expose(
-                "dist_arena_variants",
-                len({node.profile.arena_base for node in self.nodes}),
-            )
+        self.monitor.export_stats(registry)
+        self.transport.export_stats(registry)
+        export_profile_stats(registry, [node.profile for node in self.nodes])
         if self.lifecycle is not None:
-            # Lifecycle accounting exists only when a manager was built:
-            # lifecycle-free runs keep a stats view bit-identical to the
-            # pre-lifecycle design.
             self.lifecycle.export_stats(registry)
-        result.stats = registry.stats_view()
-        self.obs.export_files(result.postmortems)
-        return result
 
-    def _record_postmortem(self, reason: str, report: DivergenceReport) -> None:
-        """Snapshot the flight recorder (if enabled) into the result."""
+    def _postmortem_context(self, report: DivergenceReport):
         attribution = {
             "vtid": report.vtid,
             "replica": report.replica,
@@ -1211,56 +1066,24 @@ class DistMvee:
         }
         if self.lifecycle is not None:
             attribution["lifecycle"] = self.lifecycle.attribution()
-        postmortem = self.obs.emit_postmortem(
-            reason,
-            report,
-            attribution=attribution,
-            backoff={
-                "backoff_retries": self.stats["backoff_retries"],
-                "stall_reports": self.stats["stall_reports"],
-                "rounds_by_owner": dict(self.monitor.rounds_by_owner),
-                "handoff": dict(self.monitor.handoff_stats),
-            },
-        )
-        if postmortem is not None:
-            self.result.postmortems.append(postmortem)
+        backoff = {
+            "backoff_retries": self.stats["backoff_retries"],
+            "stall_reports": self.stats["stall_reports"],
+            "rounds_by_owner": dict(self.monitor.rounds_by_owner),
+            "handoff": dict(self.monitor.handoff_stats),
+        }
+        return attribution, backoff
 
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
-    def divergence(self, report: DivergenceReport) -> None:
-        if self.shutting_down or self.result.divergence is not None:
-            return
-        self.result.divergence = report
-        self._record_postmortem("divergence", report)
-        if self.group.all_exited():
-            if not self.result.shutdown_reason:
-                self.result.shutdown_reason = "divergence: %s" % report.detail
-            return
+    def _teardown_delay_ns(self) -> int:
         # Teardown is not instantaneous across machines: the kill
         # messages ride the network.
-        delay = self.dconfig.link_latency_ns + self._costs().dist_msg_syscall_ns
-        self.sim.call_at(
-            self.sim.now + delay, self.shutdown, "divergence: %s" % report.detail
-        )
-
-    def shutdown(self, reason: str) -> None:
-        if self.shutting_down:
-            return
-        self.shutting_down = True
-        self.result.shutdown_reason = reason
-        for node in self.nodes:
-            if not node.process.exited:
-                node.kernel.terminate_process(node.process, 137, signo=9)
-        self._wake_everyone()
+        return self.dconfig.link_latency_ns + self._costs().dist_msg_syscall_ns
 
     def _costs(self):
         return self.nodes[0].kernel.config.costs
-
-    def crash_detect_ns(self) -> int:
-        if self.dconfig.crash_detect_ns is not None:
-            return self.dconfig.crash_detect_ns
-        return self._costs().dist_crash_detect_ns + self.dconfig.link_latency_ns
 
     def _wake_everyone(self) -> None:
         for node in self.nodes:
@@ -1269,15 +1092,9 @@ class DistMvee:
 
     def _on_node_exit(self, node: Node, code) -> None:
         code = code if isinstance(code, int) else (node.process.exit_code or 0)
-        if (
-            node.index == self.group.master_index
-            and not node.process.quarantined
-            and self.master_exit_ns is None
-            and code < 128
-        ):
-            self.master_exit_ns = self.sim.now
-        if self.group.all_exited() and not self.result.shutdown_reason:
-            self.result.shutdown_reason = "all replicas exited"
+        # A killed or crashed leader does not fix the wall time: its
+        # successor's clean exit does (or, on fail-stop, the last event).
+        self._replica_exited(node.process, sets_wall_time=code < 128)
         if (
             code >= 128
             and not self.shutting_down
@@ -1291,10 +1108,10 @@ class DistMvee:
                 # this leader-side timeout.
                 return
             # Remote crashes are detected by timeout, not by waitpid.
-            self.sim.call_at(
-                self.sim.now + self.crash_detect_ns(),
-                self._handle_crash, node, code,
+            detect_ns = (
+                self._costs().dist_crash_detect_ns + self.dconfig.link_latency_ns
             )
+            self.sim.call_at(self.sim.now + detect_ns, self._handle_crash, node, code)
 
     def _handle_crash(self, node: Node, code: int) -> None:
         if (
@@ -1345,15 +1162,19 @@ class DistMvee:
         promotion, which a *link* fault does not justify)."""
         return dst if dst != self.leader_index else src
 
-    def _on_link_down(self, src: int, dst: int) -> None:
+    def _on_link_down(self, src: int, dst: int) -> bool:
+        """The breaker on ``src -> dst`` opened: degrade the link's far
+        node when the policy allows it, else escalate to
+        :meth:`replica_fault`. True when the node was degraded (the
+        transport counts ``link_degrades``)."""
         if self.shutting_down or self.diverged:
-            return
+            return False
         victim = self._link_victim(src, dst)
         self._down_links.setdefault(victim, set()).add((src, dst))
         node = self.nodes[victim]
         process = node.process
         if node.link_degraded or process.quarantined or process.exited:
-            return
+            return False
         report = DivergenceReport(
             self.sim.now,
             0,
@@ -1369,7 +1190,7 @@ class DistMvee:
             # No degradation policy: a broken monitor link is a fault
             # the cluster cannot paper over.
             self.replica_fault(process, report)
-            return
+            return False
         voting_others = [
             p for p in self.participants() if p != victim
         ]
@@ -1378,10 +1199,9 @@ class DistMvee:
                 len(voting_others), policy.min_quorum,
             )
             self.replica_fault(process, report)
-            return
+            return False
         node.link_degraded = True
         self.bump_membership()
-        self.wan_stats["link_degrades"] += 1
         self.result.fault_events.append(report)
         if self.obs.tracer.enabled:
             self.obs.tracer.instant(
@@ -1389,81 +1209,45 @@ class DistMvee:
             )
         # Open rounds may now be completable without the degraded vote.
         self.monitor.on_membership_change()
+        return True
 
-    def _on_link_up(self, src: int, dst: int) -> None:
+    def _on_link_up(self, src: int, dst: int) -> bool:
+        """The breaker on ``src -> dst`` closed again. True when that
+        restored a degraded node (the transport counts
+        ``link_restores``)."""
         victim = self._link_victim(src, dst)
         down = self._down_links.get(victim)
         if down is not None:
             down.discard((src, dst))
             if down:
-                return  # another link against this node is still open
+                return False  # another link against this node is still open
         node = self.nodes[victim]
         if not node.link_degraded:
-            return
+            return False
         node.link_degraded = False
         self.bump_membership()
-        self.wan_stats["link_restores"] += 1
         if self.obs.tracer.enabled:
             self.obs.tracer.instant(
                 "dist", "link_restore", src=src, dst=dst, victim=victim,
             )
         # The restored node's vote is required again from here on.
         self.monitor.on_membership_change()
+        return True
 
-    def _survivors_excluding(self, process) -> List:
-        return [
-            p
-            for p in self.group.processes
-            if p is not process and not p.exited and not p.quarantined
-        ]
-
-    def replica_fault(self, process, report: DivergenceReport) -> None:
-        if self.shutting_down or self.diverged or process.quarantined:
-            return
-        policy = self.config.degradation
-        if policy is None or policy.classify(report) != "benign":
-            self.divergence(report)
-            return
-        survivors = self._survivors_excluding(process)
-        if len(survivors) < policy.min_quorum:
-            report.detail += " [quorum lost: %d survivors < min_quorum %d]" % (
-                len(survivors),
-                policy.min_quorum,
-            )
-            self.divergence(report)
-            return
-        self.quarantine(process, report)
-
-    def quarantine(self, process, report: DivergenceReport) -> None:
-        index = self.group.index_of(process)
-        was_leader = index == self.group.master_index
-        policy = self.config.degradation
-        if was_leader and (policy is None or not policy.promote_master):
-            self.divergence(report)
-            return
-        process.quarantined = True
+    def _release(self, index: int, was_master: bool,
+                 report: DivergenceReport) -> None:
+        """Every quarantine opens a new ownership epoch: in-flight frames
+        from the old epoch become rejectable, waiting participants
+        observe the bump and re-collect rounds the dead shard lost."""
         self.bump_membership()
-        self.result.fault_events.append(report)
-        self.result.quarantined_replicas.append(index)
-        if report.replica is None:
-            report.replica = index
-        self._record_postmortem("quarantine", report)
-        self.degradation_stats["replicas_quarantined"] += 1
-        # Every quarantine opens a new ownership epoch: in-flight frames
-        # from the old epoch become rejectable, waiting participants
-        # observe the bump and re-collect rounds the dead shard lost.
         self.epoch += 1
         self.last_epoch_bump_ns = self.sim.now
-        if was_leader:
-            self._promote_leader(index)
-        if not process.exited:
-            self.nodes[index].kernel.terminate_process(process, 137, signo=9)
         self.monitor.begin_handoff(index)
         self._wake_everyone()
         if self.lifecycle is not None:
             self.lifecycle.on_quarantine(index, report)
 
-    def _promote_leader(self, dead_index: int) -> None:
+    def _promote(self, dead_index: int) -> None:
         survivors = self.group.survivors()
         if not survivors:
             return

@@ -54,6 +54,12 @@ from repro.kernel.vfs import OpenFileDescription
 from repro.kernel.waitq import wait_interruptible
 from repro.sim import Sleep
 
+#: A node blocked on a peer (a verdict, a mirrored result) re-checks on
+#: an exponential backoff from this interval up to the cap, until the
+#: stall watchdog's ``DistConfig.stall_timeout_ns`` fires.
+STALL_BACKOFF_INITIAL_NS = 100_000
+STALL_BACKOFF_MAX_NS = 16_000_000
+
 
 class NodeFdView:
     """FileMapView stand-in reading the node's own descriptor table.
@@ -458,18 +464,22 @@ class DistInterceptor:
         if node.index == mvee.leader_index:
             mvee.monitor.record_reference(thread.vtid, seq, req.name, digest)
         else:
-            frame = Frame(
-                T_CALL_DIGEST, node.index, thread.vtid, seq,
-                payload=digest_payload(digest, req.name),
-            )
-            yield Sleep(
-                node.kernel.config.costs.dist_frame_cost_ns(frame.size()), cpu=True
-            )
-            mvee.send_frame(
-                node.index, mvee.leader_index, frame, cls=sel.CLS_DIGEST
-            )
+            yield from self._ship_digest(thread, req, seq, digest)
         result = yield from node.kernel.invoke(thread, req)
         return result
+
+    def _ship_digest(self, thread, req, seq, digest):
+        """Send a follower's call digest to the leader for the lazy
+        cross-check, billing the frame encode."""
+        mvee, node = self.mvee, self.node
+        frame = Frame(
+            T_CALL_DIGEST, node.index, thread.vtid, seq,
+            payload=digest_payload(digest, req.name),
+        )
+        yield Sleep(
+            node.kernel.config.costs.dist_frame_cost_ns(frame.size()), cpu=True
+        )
+        mvee.send_frame(node.index, mvee.leader_index, frame, cls=sel.CLS_DIGEST)
 
     # -- replicated lane ---------------------------------------------------
     def _lead_replicated(self, thread, req, seq, digest, cls, handler, view):
@@ -501,11 +511,18 @@ class DistInterceptor:
         if mvee.dconfig.compress is not None and payload:
             encode_ns += costs.dist_compress_cost_ns(len(payload))
         yield Sleep(encode_ns, cpu=True)
+        self._publish(thread.vtid, seq, RemoteRecord(result, payload, req.name),
+                      frame, cls)
+        return result
+
+    def _publish(self, vtid, seq, record, frame, cls):
+        """Ship one leader-executed result: into this node's mirror (and
+        the lifecycle window) now, to every live follower as ``frame``."""
+        mvee, node = self.mvee, self.node
         sim = node.kernel.sim
-        record = RemoteRecord(result, payload, req.name)
-        node.mirror.put(thread.vtid, seq, record, sim)
+        node.mirror.put(vtid, seq, record, sim)
         if mvee.lifecycle is not None:
-            mvee.lifecycle.record_result(thread.vtid, seq, record)
+            mvee.lifecycle.record_result(vtid, seq, record)
         for peer in mvee.live_peers(node.index):
             mvee.send_frame(
                 node.index, peer, frame, cls=sel.CLS_RESULT_PREFIX + cls
@@ -517,9 +534,8 @@ class DistInterceptor:
         # that follower wake earlier than its peers.
         mvee.sim.call_at(
             sim.now + mvee.release_lag_ns(), self._mirror_peers,
-            thread.vtid, seq, record,
+            vtid, seq, record,
         )
-        return result
 
     def _mirror_peers(self, vtid, seq, record):
         """Land one replicated record in every live peer's mirror (the
@@ -531,67 +547,85 @@ class DistInterceptor:
     def _follow_replicated(self, thread, req, seq, digest, cls, handler, view):
         mvee, node = self.mvee, self.node
         costs = node.kernel.config.costs
-        sim = node.kernel.sim
-        dcfg = mvee.dconfig
-        digest_frame = Frame(
-            T_CALL_DIGEST, node.index, thread.vtid, seq,
-            payload=digest_payload(digest, req.name),
-        )
-        yield Sleep(costs.dist_frame_cost_ns(digest_frame.size()), cpu=True)
-        mvee.send_frame(
-            node.index, mvee.leader_index, digest_frame, cls=sel.CLS_DIGEST
-        )
+        yield from self._ship_digest(thread, req, seq, digest)
         # Same replica-local bookkeeping the leader does before
         # executing; a follower never executes this call, so the hook is
         # its only chance to record e.g. its own epoll data tags.
         observe = getattr(handler, "observe", None)
         if observe is not None:
             observe(view, req)
-        deadline = sim.now + dcfg.stall_timeout_ns
-        backoff = dcfg.backoff_initial_ns
+
+        def adopt(record):
+            adopt_ns = (
+                costs.rb_read_base_ns + costs.rb_copy_ns(len(record.payload))
+            )
+            if mvee.dconfig.compress is not None and record.payload:
+                # Codec expansion happens on the adoption copy path.
+                adopt_ns += costs.dist_decompress_cost_ns(len(record.payload))
+            yield Sleep(adopt_ns, cpu=True)
+            handler.apply_results(view, req, record.result, record.payload)
+
+        # Promoted mid-wait: the old leader died before shipping this
+        # record and nobody holds it — execute as leader.
+        result = yield from self._follow_mirror(
+            thread, req, seq, "no replicated result", adopt,
+            lambda: self._lead_replicated(
+                thread, req, seq, digest, cls, handler, view
+            ),
+        )
+        return result
+
+    def _follow_mirror(self, thread, req, seq, what, adopt, promoted):
+        """A follower's wait for the leader's mirror record of one call,
+        shared by the replicated and external-accept lanes. ``adopt``
+        bills and applies the record; ``promoted`` runs the call instead
+        when this node became leader mid-wait. Past the stall timeout
+        the watchdog blames the leader (``what`` names the missing
+        result) and the wait goes on."""
+        mvee, node = self.mvee, self.node
+        sim = node.kernel.sim
+        timeout = mvee.dconfig.stall_timeout_ns
+        vtid = thread.vtid
+        deadline = sim.now + timeout
+        backoff = STALL_BACKOFF_INITIAL_NS
         while True:
-            record = node.mirror.get(thread.vtid, seq)
+            record = node.mirror.get(vtid, seq)
             if record is not None:
-                adopt_ns = (
-                    costs.rb_read_base_ns + costs.rb_copy_ns(len(record.payload))
-                )
-                if mvee.dconfig.compress is not None and record.payload:
-                    # Codec expansion happens on the adoption copy path.
-                    adopt_ns += costs.dist_decompress_cost_ns(len(record.payload))
-                yield Sleep(adopt_ns, cpu=True)
-                handler.apply_results(view, req, record.result, record.payload)
-                node.mirror.consume(thread.vtid, seq)
+                yield from adopt(record)
+                node.mirror.consume(vtid, seq)
                 mvee.stats["adopted_results"] += 1
                 return record.result
             if mvee.shutting_down or node.process.exited or node.process.quarantined:
                 result = yield from mvee.park(thread)
                 return result
             if node.index == mvee.leader_index:
-                # Promoted mid-wait: the old leader died before shipping
-                # this record and nobody holds it — execute as leader.
                 mvee.stats["promoted_executions"] += 1
-                result = yield from self._lead_replicated(
-                    thread, req, seq, digest, cls, handler, view
-                )
+                result = yield from promoted()
                 return result
             if sim.now >= deadline:
                 mvee.report_stall(
                     node, thread, req,
                     blame=mvee.leader_index,
-                    detail="no replicated result for %s after %d ns"
-                    % (req.name, dcfg.stall_timeout_ns),
+                    detail="%s for %s after %d ns" % (what, req.name, timeout),
                 )
-                deadline = sim.now + dcfg.stall_timeout_ns
+                deadline = sim.now + timeout
                 continue
-            event = node.mirror.waitq.register()
-            status, _ = yield from wait_interruptible(
-                thread, event,
-                timeout_ns=min(backoff, max(1, deadline - sim.now)),
+            backoff = yield from self._backoff_wait(
+                thread, node.mirror.waitq, backoff, deadline
             )
-            if status != "fired":
-                node.mirror.waitq.unregister(event)
-            mvee.stats["backoff_retries"] += 1
-            backoff = min(backoff * 2, dcfg.backoff_max_ns)
+
+    def _backoff_wait(self, thread, waitq, backoff, deadline):
+        """Sleep on ``waitq`` until woken or ``backoff`` (clipped to the
+        stall watchdog's deadline) passes; returns the next backoff."""
+        sim = self.node.kernel.sim
+        event = waitq.register()
+        status, _ = yield from wait_interruptible(
+            thread, event, timeout_ns=min(backoff, max(1, deadline - sim.now)),
+        )
+        if status != "fired":
+            waitq.unregister(event)
+        self.mvee.stats["backoff_retries"] += 1
+        return min(backoff * 2, STALL_BACKOFF_MAX_NS)
 
     # -- rendezvous lane ---------------------------------------------------
     def _rendezvous(self, thread, req, seq, digest):
@@ -663,7 +697,7 @@ class DistInterceptor:
         costs = node.kernel.config.costs
         dcfg = mvee.dconfig
         deadline = sim.now + dcfg.stall_timeout_ns
-        backoff = dcfg.backoff_initial_ns
+        backoff = STALL_BACKOFF_INITIAL_NS
         was_owner = node.index == mvee.shard_owner(vtid, seq)
         sent_epoch = mvee.epoch
         while True:
@@ -746,15 +780,7 @@ class DistInterceptor:
                 waitq = state.waitq
             else:
                 waitq = node.mirror.waitq
-            event = waitq.register()
-            status, _ = yield from wait_interruptible(
-                thread, event,
-                timeout_ns=min(backoff, max(1, deadline - sim.now)),
-            )
-            if status != "fired":
-                waitq.unregister(event)
-            mvee.stats["backoff_retries"] += 1
-            backoff = min(backoff * 2, dcfg.backoff_max_ns)
+            backoff = yield from self._backoff_wait(thread, waitq, backoff, deadline)
 
     # -- external-service accept lane --------------------------------------
     def _external_accept(self, thread, req, seq, digest):
@@ -773,7 +799,6 @@ class DistInterceptor:
         """
         mvee, node = self.mvee, self.node
         costs = node.kernel.config.costs
-        sim = node.kernel.sim
         vtid = thread.vtid
         verdict = yield from self._rendezvous_sync(thread, req, seq, digest)
         if verdict != 1:
@@ -798,64 +823,27 @@ class DistInterceptor:
                 costs.rb_write_base_ns + costs.dist_frame_cost_ns(frame.size())
             )
             yield Sleep(encode_ns, cpu=True)
-            record = RemoteRecord(result, payload, req.name)
-            node.mirror.put(vtid, seq, record, sim)
-            if mvee.lifecycle is not None:
-                mvee.lifecycle.record_result(vtid, seq, record)
-            for peer in mvee.live_peers(node.index):
-                mvee.send_frame(
-                    node.index, peer, frame, cls=sel.CLS_RESULT_PREFIX + "sock"
-                )
-            mvee.sim.call_at(
-                sim.now + mvee.release_lag_ns(), self._mirror_peers,
-                vtid, seq, record,
-            )
+            self._publish(vtid, seq, RemoteRecord(result, payload, req.name),
+                          frame, "sock")
             return result
         # Follower: wait for the leader's record, then adopt the fd.
-        dcfg = mvee.dconfig
-        deadline = sim.now + dcfg.stall_timeout_ns
-        backoff = dcfg.backoff_initial_ns
-        while True:
-            record = node.mirror.get(vtid, seq)
-            if record is not None:
-                yield Sleep(
-                    costs.rb_read_base_ns + costs.rb_copy_ns(len(record.payload)),
-                    cpu=True,
-                )
-                if record.result >= 0:
-                    self._materialize_accept(thread, req, record)
-                node.mirror.consume(vtid, seq)
-                mvee.stats["adopted_results"] += 1
-                return record.result
-            if mvee.shutting_down or node.process.exited or node.process.quarantined:
-                result = yield from mvee.park(thread)
-                return result
-            if node.index == mvee.leader_index:
-                # Promoted mid-wait: nobody will ship the record. The
-                # new leader's own listener is idle (external clients
-                # still target the old address), so executing locally
-                # yields a harmless EAGAIN and the guest retries.
-                mvee.stats["promoted_executions"] += 1
-                result = yield from node.kernel.invoke(thread, req)
-                return result
-            if sim.now >= deadline:
-                mvee.report_stall(
-                    node, thread, req,
-                    blame=mvee.leader_index,
-                    detail="no adopted accept result for %s after %d ns"
-                    % (req.name, dcfg.stall_timeout_ns),
-                )
-                deadline = sim.now + dcfg.stall_timeout_ns
-                continue
-            event = node.mirror.waitq.register()
-            status, _ = yield from wait_interruptible(
-                thread, event,
-                timeout_ns=min(backoff, max(1, deadline - sim.now)),
+        def adopt(record):
+            yield Sleep(
+                costs.rb_read_base_ns + costs.rb_copy_ns(len(record.payload)),
+                cpu=True,
             )
-            if status != "fired":
-                node.mirror.waitq.unregister(event)
-            mvee.stats["backoff_retries"] += 1
-            backoff = min(backoff * 2, dcfg.backoff_max_ns)
+            if record.result >= 0:
+                self._materialize_accept(thread, req, record)
+
+        # Promoted mid-wait: nobody will ship the record. The new
+        # leader's own listener is idle (external clients still target
+        # the old address), so executing locally yields a harmless
+        # EAGAIN and the guest retries.
+        result = yield from self._follow_mirror(
+            thread, req, seq, "no adopted accept result", adopt,
+            lambda: node.kernel.invoke(thread, req),
+        )
+        return result
 
     def _materialize_accept(self, thread, req, record):
         """Install a phantom connection fd mirroring the leader's."""

@@ -159,21 +159,20 @@ class Transport:
         self.reliable = False
         self.retransmit_policy: Optional[RetransmitPolicy] = None
         self.window_size = 32
-        self._breaker_factory: Callable[[], CircuitBreaker] = CircuitBreaker
         self._send_windows: Dict[Tuple[int, int], SenderWindow] = {}
         self._recv_windows: Dict[Tuple[int, int], ReceiverWindow] = {}
         self._breakers: Dict[Tuple[int, int], CircuitBreaker] = {}
         self._links_down: set = set()
         self._breaker_spans: Dict[Tuple[int, int], object] = {}
         #: Installed by the cluster: called with (src, dst) when a
-        #: link's breaker opens / re-closes.
-        self.on_link_down: Optional[Callable[[int, int], None]] = None
-        self.on_link_up: Optional[Callable[[int, int], None]] = None
+        #: link's breaker opens / re-closes; a true return means the
+        #: link's far node was degraded / restored (``link_degrades`` /
+        #: ``link_restores``).
+        self.on_link_down: Optional[Callable[[int, int], bool]] = None
+        self.on_link_up: Optional[Callable[[int, int], bool]] = None
 
     def enable_reliable(self, policy: Optional[RetransmitPolicy] = None,
-                        window: int = 32,
-                        breaker_factory: Optional[Callable[[], CircuitBreaker]]
-                        = None) -> None:
+                        window: int = 32) -> None:
         """Switch every channel to sequenced, acked, retransmitted
         batches (the 16-byte reliable header). Must run before any
         traffic: mixing header formats mid-run would desynchronize the
@@ -183,7 +182,6 @@ class Transport:
         self.reliable = True
         self.retransmit_policy = policy or RetransmitPolicy()
         self.window_size = window
-        self._breaker_factory = breaker_factory or CircuitBreaker
 
     def _bump(self, key: str, n: int = 1) -> None:
         # Stats that exist only in reliable/lossy runs are created on
@@ -348,6 +346,42 @@ class Transport:
             if channel.pending:
                 self._flush(channel)
 
+    def export_stats(self, registry) -> None:
+        """Publish this transport's counters under ``dist_``. The
+        reliability family, with the network's ``net_segments_*`` fault
+        counters, exists only when the transport runs reliable, and the
+        codec-adaptation and drop counters only once nonzero: loss-free
+        runs keep a stats view byte-identical to the pre-reliability
+        design."""
+        stats = self.stats
+        registry.expose("dist_messages", stats["messages_sent"])
+        registry.expose("dist_frames", stats["frames_sent"])
+        for key in ("wire_bytes", "frame_bytes", "wire_errors",
+                    "flushes_size", "flushes_timer",
+                    "flushes_urgent", "payload_raw_bytes",
+                    "payload_coded_bytes", "codec_raw", "codec_rle",
+                    "codec_dict"):
+            registry.expose("dist_" + key, stats[key])
+        for cls, nbytes in sorted(self.bytes_by_class.items()):
+            registry.expose("dist_bytes_" + cls, nbytes)
+        for cls, count in sorted(self.frames_by_class.items()):
+            registry.expose("dist_frames_" + cls, count)
+        if self.reliable:
+            for key in ("retransmits", "retransmit_bytes", "acks_sent",
+                        "dup_batches_dropped", "ooo_batches",
+                        "window_stalls", "probes_sent", "breaker_opens",
+                        "breaker_closes", "link_degrades", "link_restores"):
+                registry.expose("dist_" + key, stats.get(key, 0))
+            network = self.network
+            registry.expose("net_segments_lost", network.segments_lost)
+            registry.expose("net_segments_duplicated", network.segments_duplicated)
+            registry.expose("net_segments_reordered", network.segments_reordered)
+        for key in ("codec_downgrades", "codec_upgrades", "frames_dropped"):
+            if stats.get(key, 0):
+                registry.expose("dist_" + key, stats[key])
+        for cls, count in sorted(self.frames_dropped_by_class.items()):
+            registry.expose("dist_frames_dropped_" + cls, count)
+
     # ------------------------------------------------------------------
     def _timer_flush(self, channel: Channel) -> None:
         channel.timer_armed = False
@@ -441,7 +475,7 @@ class Transport:
     def _breaker(self, key: Tuple[int, int]) -> CircuitBreaker:
         breaker = self._breakers.get(key)
         if breaker is None:
-            breaker = self._breakers[key] = self._breaker_factory()
+            breaker = self._breakers[key] = CircuitBreaker()
         return breaker
 
     def _flush_reliable(self, channel: Channel, frames: List[Frame],
@@ -601,8 +635,8 @@ class Transport:
                 )
         if key not in self._links_down:
             self._links_down.add(key)
-            if self.on_link_down is not None:
-                self.on_link_down(src, dst)
+            if self.on_link_down is not None and self.on_link_down(src, dst):
+                self._bump("link_degrades")
         self.sim.call_at(
             self.sim.now + breaker.current_cooldown_ns, self._maybe_probe, key
         )
@@ -629,5 +663,5 @@ class Transport:
             span.finish(probes=self._breakers[key].probes)
         if key in self._links_down:
             self._links_down.discard(key)
-            if self.on_link_up is not None:
-                self.on_link_up(src, dst)
+            if self.on_link_up is not None and self.on_link_up(src, dst):
+                self._bump("link_restores")

@@ -169,3 +169,14 @@ def make_node_profiles(
             )
         )
     return profiles
+
+
+def export_profile_stats(registry, profiles: List[NodeProfile]) -> None:
+    """Publish diversity accounting, which exists only under per-node
+    profiles: homogeneous runs keep a stats view bit-identical to the
+    pre-profile design (the §13 invisibility contract)."""
+    if not any(profile.heterogeneous for profile in profiles):
+        return
+    registry.expose("dist_heterogeneous", 1)
+    registry.expose("dist_abi_variants", len({p.abi for p in profiles}))
+    registry.expose("dist_arena_variants", len({p.arena_base for p in profiles}))

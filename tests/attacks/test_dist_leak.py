@@ -83,7 +83,7 @@ def _run_benign(heterogeneous):
     config = ReMonConfig(
         replicas=3,
         level=Level.NONSOCKET_RW,
-        dist=DistConfig(nodes=3, heterogeneous=heterogeneous),
+        dist=DistConfig(heterogeneous=heterogeneous),
     )
     return run_distributed(_benign_program(), config, max_steps=MAX_STEPS)
 

@@ -239,10 +239,10 @@ def _wan_workload():
     )
 
 
-def _run_wan(plan=None):
+def _run_wan(plan=None, nodes=3, min_quorum=2):
     config = ReMonConfig(
-        replicas=3, level=Level.SOCKET_RW,
-        degradation=DegradationPolicy(min_quorum=2),
+        replicas=nodes, level=Level.SOCKET_RW,
+        degradation=DegradationPolicy(min_quorum=min_quorum),
         dist=DistConfig(link_latency_ns=200_000),
     )
     mvee = DistMvee(build_program(_wan_workload()), config)
@@ -292,6 +292,40 @@ class TestLinkBreakerEndToEnd:
         link_report = next(r for r in result.fault_events if r.kind == "link")
         assert link_report.detected_by == "dist-breaker"
         assert link_report.replica == 2  # dst side of the leader link
+
+    def test_degrade_below_voter_quorum_quarantines_hard(self):
+        # Node 2's link opens first and it degrades (three voters stay).
+        # Degrading node 3 as well would leave two voters < min_quorum 3,
+        # so its breaker escalates to a replica fault; three survivors
+        # still meet the quorum, so node 3 is quarantined, not the run.
+        plan = FaultPlan(
+            [
+                LinkDegradeFault(at_ns=2_000_000, src=0, dst=dst,
+                                 duration_ns=20_000_000, loss_prob=1.0)
+                for dst in (2, 3)
+            ]
+        )
+        mvee, result = _run_wan(plan, nodes=4, min_quorum=3)
+        assert not result.diverged, result.divergence
+        assert result.exit_codes == [0, 0, 0, 137]
+        assert result.quarantined_replicas == [3]
+        assert result.stats["dist_link_degrades"] >= 1
+        degraded = [r for r in result.fault_events
+                    if r.kind == "link" and r.replica == 2]
+        assert degraded and "quorum lost" not in degraded[0].detail
+        hard = next(r for r in result.fault_events
+                    if r.kind == "link" and r.replica == 3)
+        assert hard.detected_by == "dist-breaker"
+        assert "quorum lost: 2 voters" in hard.detail
+
+    def test_degrade_below_survivor_quorum_fail_stops(self):
+        _, result = _run_wan(_blackhole_plan(), nodes=3, min_quorum=3)
+        assert result.diverged
+        assert result.exit_codes == [137, 137, 137]
+        assert result.divergence.kind == "link"
+        assert result.divergence.detected_by == "dist-breaker"
+        assert "quorum lost" in result.divergence.detail
+        assert result.quarantined_replicas == []
 
     def test_degrade_episode_is_deterministic(self):
         _, first = _run_wan(_blackhole_plan())
