@@ -120,60 +120,62 @@ def serialize_args(
     """
     spec = spec or spec_for(req.name)
     items: List[Tuple[str, object]] = []
+    append = items.append
+    args = req.args
     nbytes = 0
     if spec is None:
-        for value in req.args:
-            items.append(("reg", _raw(value)))
+        for value in args:
+            append(("reg", _raw(value)))
         return ArgBlob(req.name, items, nbytes, abi)
-    for index, arg_spec in enumerate(spec.args):
-        if index >= len(req.args):
-            break
-        value = req.args[index]
+    # zip stops at the shorter side: a call passing fewer args than its
+    # spec lists serializes only the ones it passed.
+    for arg_spec, value in zip(spec.args, args):
         kind = arg_spec.kind
         try:
             if kind in ("reg", "fd"):
-                items.append((kind, _raw(value)))
+                # _raw() of a plain int is the int itself.
+                append((kind, value if value.__class__ is int else _raw(value)))
             elif kind == "ptr":
-                items.append(("ptr", bool(value)))
+                append(("ptr", bool(value)))
             elif kind == "callable":
-                items.append(("callable", _callable_shape(value)))
+                append(("callable", _callable_shape(value)))
             elif kind == "cstr":
                 if not value:
-                    items.append(("cstr", b""))
+                    append(("cstr", b""))
                 else:
                     data = space.read_cstr(int(value))
-                    items.append(("cstr", data))
+                    append(("cstr", data))
                     nbytes += len(data)
             elif kind in ("buf_in", "struct_in"):
                 if not value:
-                    items.append(("buf", b""))
+                    append(("buf", b""))
                 else:
-                    length = _resolve_length(arg_spec.length, req.args)
+                    length = _resolve_length(arg_spec.length, args)
                     data = space.read(int(value), length) if length else b""
-                    items.append(("buf", data))
+                    append(("buf", data))
                     nbytes += len(data)
             elif kind == "epoll_event_in":
                 if not value:
-                    items.append(("epev", b""))
+                    append(("epev", b""))
                 else:
                     raw = space.read(int(value), 4)  # events mask only
-                    items.append(("epev", raw))
+                    append(("epev", raw))
                     nbytes += 4
             elif kind == "iovec_in":
                 if not value:
-                    items.append(("iov", b""))
+                    append(("iov", b""))
                 else:
-                    count = int(req.args[arg_spec.count_arg])
+                    count = int(args[arg_spec.count_arg])
                     iovecs = read_iovecs(space, int(value), count)
                     data = b"".join(space.read(b, ln) for b, ln in iovecs)
-                    items.append(("iov", data))
+                    append(("iov", data))
                     nbytes += len(data)
             elif kind in ("buf_out", "struct_out", "iovec_out"):
-                items.append(("out", bool(value)))
+                append(("out", bool(value)))
             else:
-                items.append(("reg", _raw(value)))
+                append(("reg", _raw(value)))
         except MemoryFault:
-            items.append(("fault", int(value) != 0))
+            append(("fault", int(value) != 0))
     return ArgBlob(req.name, items, nbytes, abi)
 
 

@@ -161,18 +161,17 @@ class LockstepContext:
         #: skipped its own call, so GHUMVEE re-executes it at finish.
         self.master_reexec = False
 
-    def replica_index_of(self, thread) -> int:
-        return self.ghumvee.replica_index(thread.process)
-
     # -- stop routing -------------------------------------------------------
     def on_entry(self, stop: Stop) -> None:
-        index = self.replica_index_of(stop.thread)
-        first_arrival = not self.entry_stops
-        self.entry_stops[index] = stop
-        if len(self.entry_stops) == self.ghumvee.live_replica_count():
+        entry_stops = self.entry_stops
+        first_arrival = not entry_stops
+        entry_stops[stop.thread.process.replica_index] = stop
+        if len(entry_stops) == self.ghumvee.live_replica_count():
             self.generation += 1
             self.phase = "entry"
-            self.ghumvee.spawn_monitor_task(self._handle_rendezvous(), "rendezvous")
+            self.ghumvee.spawn_monitor_task(
+                self._handle_rendezvous(), "ghumvee:rendezvous"
+            )
         elif first_arrival:
             self._arm_stall_watchdog(stop)
 
@@ -247,17 +246,19 @@ class LockstepContext:
         ghumvee.kernel.sim.call_at(ghumvee.kernel.sim.now + timeout_ns, _check)
 
     def on_exit(self, stop: Stop) -> None:
-        index = self.replica_index_of(stop.thread)
-        self.exit_stops[index] = stop
+        exit_stops = self.exit_stops
+        exit_stops[stop.thread.process.replica_index] = stop
         if self.finishing:
             return
-        if len(self.exit_stops) < self.ghumvee.live_replica_count():
+        if len(exit_stops) < self.ghumvee.live_replica_count():
             return
         self.finishing = True
         if self.call_class == "allexec":
-            self.ghumvee.spawn_monitor_task(self._finish_allexec(), "allexec-exit")
+            self.ghumvee.spawn_monitor_task(
+                self._finish_allexec(), "ghumvee:allexec-exit"
+            )
         else:
-            self.ghumvee.spawn_monitor_task(self._finish_mastercall(), "exit")
+            self.ghumvee.spawn_monitor_task(self._finish_mastercall(), "ghumvee:exit")
 
     # -- phases ----------------------------------------------------------------
     def _handle_rendezvous(self):
@@ -588,7 +589,7 @@ class LockstepContext:
                 self.exit_stops[ghumvee.group.master_index].final_result = result
             for stop in slave_stops:
                 slave_req = self.active_reqs.get(
-                    self.replica_index_of(stop.thread), master_req
+                    stop.thread.process.replica_index, master_req
                 )
                 slave_addr = slave_req.arg(index)
                 if not slave_addr:
@@ -659,7 +660,7 @@ class LockstepContext:
         replicated = 0
         for stop in slave_stops:
             slave_req = self.active_reqs.get(
-                self.replica_index_of(stop.thread), master_req
+                stop.thread.process.replica_index, master_req
             )
             if not slave_req.arg(0):
                 continue
@@ -706,7 +707,7 @@ class LockstepContext:
             except MemoryFault:
                 break
         for stop in slave_stops:
-            index = self.replica_index_of(stop.thread)
+            index = stop.thread.process.replica_index
             slave_req = self.active_reqs.get(index, master_req)
             localized = ghumvee.epoll_map.localize_events(epfd, neutral, index)
             for pos, (revents, data) in enumerate(localized):
@@ -785,7 +786,7 @@ class LockstepContext:
         ):
             self.generation += 1
             self.phase = "entry"
-            ghumvee.spawn_monitor_task(self._handle_rendezvous(), "rendezvous")
+            ghumvee.spawn_monitor_task(self._handle_rendezvous(), "ghumvee:rendezvous")
             return
         if (
             self.call_class
@@ -795,9 +796,11 @@ class LockstepContext:
         ):
             self.finishing = True
             if self.call_class == "allexec":
-                ghumvee.spawn_monitor_task(self._finish_allexec(), "allexec-exit")
+                ghumvee.spawn_monitor_task(
+                    self._finish_allexec(), "ghumvee:allexec-exit"
+                )
             else:
-                ghumvee.spawn_monitor_task(self._finish_mastercall(), "exit")
+                ghumvee.spawn_monitor_task(self._finish_mastercall(), "ghumvee:exit")
 
     # -- teardown ------------------------------------------------------------
     def on_replica_gone(self, stop: Stop) -> None:
@@ -873,15 +876,17 @@ class Ghumvee:
         for process in self.group.processes:
             self.tracer.attach(process)
 
-    def replica_index(self, process) -> int:
-        return self.group.index_of(process)
-
     def live_replica_count(self) -> int:
         """Replicas that still participate in rendezvous: quarantined
-        ones are out of the group even before their teardown lands."""
-        return sum(
-            1 for p in self.group.processes if not p.exited and not p.quarantined
-        )
+        ones are out of the group even before their teardown lands.
+
+        Recounted on every stop (a plain loop: no generator frames), so
+        an exit or a quarantine takes effect at the very next stop."""
+        live = 0
+        for process in self.group.processes:
+            if not process.exited and not process.quarantined:
+                live += 1
+        return live
 
     def on_replica_quarantined(self, index: int, was_master: bool) -> None:
         """Release a quarantined replica's lockstep state in every
@@ -890,15 +895,8 @@ class Ghumvee:
         for ctx in list(self.contexts.values()):
             ctx.drop_replica(index, was_master)
 
-    def context(self, vtid: int) -> LockstepContext:
-        ctx = self.contexts.get(vtid)
-        if ctx is None:
-            ctx = LockstepContext(self, vtid)
-            self.contexts[vtid] = ctx
-        return ctx
-
-    def spawn_monitor_task(self, gen, label: str) -> None:
-        task = self.kernel.sim.spawn(gen, name="ghumvee:%s" % label)
+    def spawn_monitor_task(self, gen, name: str) -> None:
+        task = self.kernel.sim.spawn(gen, name=name)
 
         def _check_failure(_value, t=task):
             if t.failure is not None:
@@ -910,10 +908,15 @@ class Ghumvee:
     # Tracer callbacks
     # ------------------------------------------------------------------
     def _on_stop(self, stop: Stop) -> None:
-        if self.remon.shutting_down or self.remon.result.diverged:
+        remon = self.remon
+        if remon.shutting_down or remon.result.divergence is not None:
             # Leave the thread parked; remon is killing everything.
             return
-        ctx = self.context(stop.thread.vtid)
+        vtid = stop.thread.vtid
+        try:
+            ctx = self.contexts[vtid]
+        except KeyError:
+            ctx = self.contexts[vtid] = LockstepContext(self, vtid)
         if stop.kind == "syscall-entry":
             ctx.on_entry(stop)
         else:

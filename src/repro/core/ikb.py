@@ -52,6 +52,9 @@ class InKernelBroker:
             "tokens_reissued": 0,
             "verification_failures": 0,
         }
+        #: The reroute cost every forwarded call pays (effects are
+        #: immutable values, so one instance serves every call).
+        self._forward_sleep = Sleep(kernel.config.costs.ikb_forward_ns, cpu=True)
         kernel.ikb = self
 
     # ------------------------------------------------------------------
@@ -92,7 +95,7 @@ class InKernelBroker:
     def _forward_to_ipmon(self, thread, req, registration):
         costs = self.kernel.config.costs
         token = self.kernel.random_u64()
-        injector = getattr(self.kernel, "fault_injector", None)
+        injector = self.kernel.fault_injector
         if injector is not None and injector.steal_token(thread, req):
             # Fault injection: the token is issued but never recorded as
             # outstanding, so IP-MON's restart will fail verification.
@@ -101,7 +104,7 @@ class InKernelBroker:
             self._outstanding[thread.tid] = (token, req.name)
         self.stats["tokens_issued"] += 1
         self.stats["forwarded_to_ipmon"] += 1
-        obs = getattr(self.kernel, "obs", None)
+        obs = self.kernel.obs
         if obs is not None and obs.tracer.enabled:
             obs.tracer.instant(
                 "ikb", "route-ipmon", syscall=req.name, vtid=thread.vtid,
@@ -109,7 +112,7 @@ class InKernelBroker:
             )
             yield Sleep(costs.ikb_forward_ns + obs.span_cost_ns, cpu=True)
         else:
-            yield Sleep(costs.ikb_forward_ns, cpu=True)
+            yield self._forward_sleep
         # Overwrite the "program counter": re-enter userspace at IP-MON's
         # syscall entry point, with the token and RB pointer in reserved
         # registers (modelled as call arguments that never touch guest
@@ -185,7 +188,7 @@ class InKernelBroker:
         """Coroutine: revoke any token and hand the call to GHUMVEE."""
         self.revoke_token(thread)
         self.stats["forwarded_to_monitor"] += 1
-        obs = getattr(self.kernel, "obs", None)
+        obs = self.kernel.obs
         if obs is not None and obs.tracer.enabled:
             obs.tracer.instant(
                 "ikb", "route-monitor", syscall=req.name, vtid=thread.vtid,

@@ -86,6 +86,11 @@ class IpMonGroup:
         }
         self.obs = remon.obs
         self._obs_ns = self.obs.dispatch_cost_ns if self.obs is not None else 0
+        #: The entry cost every call into IP-MON pays (one shared,
+        #: immutable effect).
+        self._entry_sleep = Sleep(
+            self.kernel.config.costs.ipmon_entry_ns + self._obs_ns, cpu=True
+        )
 
     def signals_pending(self) -> bool:
         return self.rb.region.read(SIGNALS_PENDING_OFFSET, 1)[0] != 0
@@ -249,13 +254,14 @@ class IpmonReplica:
     def entry(self, thread, req: SyscallRequest, token: int, rb_base: int):
         costs = self.kernel.config.costs
         group = self.group
-        yield Sleep(costs.ipmon_entry_ns + group._obs_ns, cpu=True)
+        yield group._entry_sleep
         obs = group.obs
         if obs is not None and obs.tracer.enabled:
             obs.tracer.instant(
                 "ipmon", "entry", syscall=req.name, vtid=thread.vtid,
                 replica=self.replica_index, master=self.is_master,
             )
+        remon_group = group.remon.group
         handler = group.handlers.get(req.name)
         broker = self.kernel.ikb
         if handler is None:
@@ -307,7 +313,7 @@ class IpmonReplica:
         # master's death mid-wait retries as master once the promotion
         # lands on it.
         while True:
-            if self.is_master:
+            if self.replica_index == remon_group.master_index:
                 backlog = (
                     self.replica_index in lane.consumed
                     and lane.next_record_for(self.replica_index) is not None
@@ -549,13 +555,19 @@ class IpmonReplica:
         policy = group.remon.config.degradation
         backoff = policy.rb_backoff_initial_ns if policy is not None else 0
         waited = 0
+        remon_group = group.remon.group
         while True:
-            if self.is_master and lane.next_record_for(self.replica_index) is None:
+            if (
+                self.replica_index == remon_group.master_index
+                and lane.next_record_for(self.replica_index) is None
+            ):
                 # Promoted while waiting, and no backlog left to drain.
                 return _RETRY_AS_MASTER
             record = lane.next_record_for(self.replica_index)
-            if record is not None and record.state() >= 1:
-                break
+            if record is not None:
+                state, _waiters, args_len, flags = record.words()
+                if state >= 1:
+                    break
             event = lane.args_waitq.register()
             status, _ = yield from wait_interruptible(
                 thread, event, backoff if policy is not None else None
@@ -573,8 +585,6 @@ class IpmonReplica:
                     self._master_stall(thread, req, lane)
                     waited = 0
 
-        state = record.state()
-        flags = record.flags()
         if state not in (STATE_ARGS_READY, STATE_RESULTS_READY) or flags & ~(
             FLAG_MAY_BLOCK | FLAG_FORWARDED
         ):
@@ -607,7 +617,7 @@ class IpmonReplica:
 
         # Sanity check: compare our own arguments against the master's
         # recorded deep copy (§3: minimizes asymmetrical attacks).
-        master_blob = record.read_args()
+        master_blob = record.args_blob(args_len)
         yield Sleep(
             costs.rb_read_base_ns + costs.compare_cost_ns(len(master_blob)), cpu=True
         )
@@ -643,13 +653,14 @@ class IpmonReplica:
         if interrupted:
             lane.consume(self.replica_index, self.kernel.sim)
             return -E.EINTR
-        if record.flags() & FLAG_FORWARDED and not flags & FLAG_FORWARDED:
+        args_len, now_flags, result, result_len, _pad = record.tail()
+        if now_flags & FLAG_FORWARDED and not flags & FLAG_FORWARDED:
             # The record was poisoned while we waited (master quarantined
             # mid-call): forward to the rendezvous like everyone else.
             lane.consume(self.replica_index, self.kernel.sim)
             result = yield from broker.route_to_monitor(thread, req)
             return result
-        result, payload = record.read_results()
+        payload = record.payload(args_len, result_len)
         yield Sleep(costs.rb_read_base_ns + costs.rb_copy_ns(len(payload)), cpu=True)
         handler.apply_results(self, req, result, payload)
         lane.consume(self.replica_index, self.kernel.sim)

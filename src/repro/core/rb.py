@@ -52,11 +52,17 @@ HEADER_SIZE = struct.calcsize(HEADER_FMT)
 _HEADER = struct.Struct(HEADER_FMT)
 _RESULT = struct.Struct("<qII")
 _U32 = struct.Struct("<I")
+#: The four u32 words at the front of the header, read in one call.
+_WORDS = struct.Struct("<IIII")
+#: args_len through the padding word, read in one call.
+_TAIL = struct.Struct("<IIqII")
 _ZERO_HEADER = bytes(HEADER_SIZE)
 
 STATE_ALLOCATED = 0
 STATE_ARGS_READY = 1
 STATE_RESULTS_READY = 2
+
+_RESULTS_READY_WORD = _U32.pack(STATE_RESULTS_READY)
 
 FLAG_MAY_BLOCK = 1
 FLAG_FORWARDED = 2
@@ -71,10 +77,13 @@ OFF_RESULT = 16
 class RBRecord:
     """Monitor-side handle on one record (offsets into the region)."""
 
-    __slots__ = ("lane", "seq", "offset", "capacity", "args_len", "result_len")
+    __slots__ = ("lane", "region", "seq", "offset", "capacity", "args_len",
+                 "result_len")
 
     def __init__(self, lane: "RBLane", seq: int, offset: int, capacity: int):
         self.lane = lane
+        #: The RB's shared region (one per buffer, never replaced).
+        self.region: SharedRegion = lane.rb.region
         self.seq = seq
         self.offset = offset
         self.capacity = capacity
@@ -82,10 +91,10 @@ class RBRecord:
         self.result_len = 0
 
     # -- region accessors -------------------------------------------------
-    @property
-    def region(self) -> SharedRegion:
-        return self.lane.rb.region
-
+    # Every accessor reads the header words from the region each time:
+    # they live in attacker-writable shared memory, so a cached copy
+    # would hide RB tampering. Adjacent words wanted together are read
+    # in one call.
     def _read(self, start: int, length: int) -> bytes:
         # Lengths come from attacker-writable header words: clamp at the
         # region's end rather than reading (or allocating) past it.
@@ -126,21 +135,36 @@ class RBRecord:
     def flags(self) -> int:
         return _U32.unpack(self.region.read(self.offset + OFF_FLAGS, 4))[0]
 
+    def words(self):
+        """``(state, waiters, args_len, flags)``, read in one call."""
+        return _WORDS.unpack(self.region.read(self.offset, 16))
+
+    def tail(self):
+        """``(args_len, flags, result, result_len, pad)``, read in one call."""
+        return _TAIL.unpack(self.region.read(self.offset + OFF_ARGS_LEN, _TAIL.size))
+
+    def args_blob(self, args_len: int) -> bytes:
+        """The argument blob, ``args_len`` as just read from the header."""
+        return self._read(self.offset + HEADER_SIZE, args_len)
+
+    def payload(self, args_len: int, result_len: int) -> bytes:
+        """The result payload, both lengths as just read from the header."""
+        return self._read(self.offset + HEADER_SIZE + args_len, result_len)
+
     def write_results(self, result: int, payload: bytes) -> None:
         region = self.region
-        args_len = _U32.unpack(region.read(self.offset + OFF_ARGS_LEN, 4))[0]
+        offset = self.offset
+        args_len = _U32.unpack(region.read(offset + OFF_ARGS_LEN, 4))[0]
         self.result_len = len(payload)
-        region.write(self.offset + OFF_RESULT, _RESULT.pack(result, len(payload), 0))
-        start = self.offset + HEADER_SIZE + args_len
-        region.write(start, payload[: max(0, region.length - start)])
-        self.set_state(STATE_RESULTS_READY)
+        region.write(offset + OFF_RESULT, _RESULT.pack(result, len(payload), 0))
+        if payload:
+            start = offset + HEADER_SIZE + args_len
+            region.write(start, payload[: max(0, region.length - start)])
+        region.write(offset + OFF_STATE, _RESULTS_READY_WORD)
 
     def read_results(self):
-        args_len = _U32.unpack(self.region.read(self.offset + OFF_ARGS_LEN, 4))[0]
-        result, result_len, _pad = _RESULT.unpack(
-            self.region.read(self.offset + OFF_RESULT, _RESULT.size)
-        )
-        return result, self._read(self.offset + HEADER_SIZE + args_len, result_len)
+        args_len, _flags, result, result_len, _pad = self.tail()
+        return result, self.payload(args_len, result_len)
 
     def total_bytes(self) -> int:
         return HEADER_SIZE + self.args_len + self.result_len

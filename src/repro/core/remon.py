@@ -166,12 +166,15 @@ class ReMon(Supervisor):
             injector.bind_mvee(self)
 
     def _wrapped_program(self) -> Program:
+        """The program each replica runs: with IP-MON, its registration
+        preamble and then the program; without, the program itself (no
+        wrapper generator for every item to pass through)."""
         base = self.program
-        ipmon_enabled = self.ipmon is not None
+        if self.ipmon is None:
+            return base
 
         def main(ctx):
-            if ipmon_enabled:
-                yield from ctx.process.ipmon_replica.registration_preamble(ctx)
+            yield from ctx.process.ipmon_replica.registration_preamble(ctx)
             result = yield from base.main(ctx)
             return result
 

@@ -121,15 +121,25 @@ class GuestRuntime:
         self.kernel.terminate_process(self.process, 128 + signo, signo)
 
     def _drive(self, thread, gen):
-        """Pump one guest generator; returns its StopIteration value."""
+        """Pump one guest generator; returns its StopIteration value.
+
+        ``Compute`` and ``SyscallRequest``, nearly every item a guest
+        yields, are dispatched inline by exact class; anything else
+        (nested generators, raw effects, subclasses) goes through
+        :meth:`_do_item`. The signal check reads the pending queue
+        first, so a thread with nothing pending pays no call for it.
+        """
+        process = self.process
+        kernel = self.kernel
         to_send = None
         throw: Optional[BaseException] = None
         while True:
-            if self.process.exited:
-                raise ProcessExitRequest(self.process.exit_code or 0)
-            pending = thread.deliverable_signal()
-            if pending is not None:
-                yield from self._deliver_signal(thread, pending)
+            if process.exited:
+                raise ProcessExitRequest(process.exit_code or 0)
+            if thread.pending:
+                pending = thread.deliverable_signal()
+                if pending is not None:
+                    yield from self._deliver_signal(thread, pending)
             try:
                 if throw is not None:
                     exc, throw = throw, None
@@ -139,7 +149,17 @@ class GuestRuntime:
             except StopIteration as stop:
                 return stop.value
             try:
-                to_send = yield from self._do_item(thread, item)
+                cls = item.__class__
+                if cls is Compute:
+                    ns = int(item.ns * process.compute_factor)
+                    yield Sleep(ns, cpu=True)
+                    thread.utime_ns += ns
+                    process.utime_ns += ns
+                    to_send = None
+                elif cls is SyscallRequest:
+                    to_send = yield from kernel.syscall_path(thread, item)
+                else:
+                    to_send = yield from self._do_item(thread, item)
             except MemoryFault as fault:
                 # A fault in guest code (not in a syscall): SIGSEGV. If
                 # handled, the handler runs, then the faulting operation
@@ -151,8 +171,7 @@ class GuestRuntime:
 
     def _do_item(self, thread, item):
         if isinstance(item, Compute):
-            factor = getattr(self.process, "compute_factor", 1.0)
-            ns = int(item.ns * factor)
+            ns = int(item.ns * self.process.compute_factor)
             yield Sleep(ns, cpu=True)
             thread.utime_ns += ns
             self.process.utime_ns += ns

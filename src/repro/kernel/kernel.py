@@ -88,6 +88,9 @@ class Kernel:
         #: syscall_path is skipped entirely while this is None or the
         #: hub has no virtual-cost-bearing instrument enabled.
         self.obs = None
+        #: ``obs`` while it has a virtual-cost-bearing instrument on,
+        #: else None: the one check syscall_path makes per call.
+        self._obs_active = None
         self._obs_dispatch_ns = 0
         self._obs_syscall_hist = None
         self._rebuild_entry_sleep()
@@ -106,6 +109,7 @@ class Kernel:
     def attach_obs(self, obs) -> None:
         """Wire a repro.obs hub into syscall dispatch."""
         self.obs = obs
+        self._obs_active = obs if obs is not None and obs.active else None
         if obs is None:
             self._obs_dispatch_ns = 0
             self._obs_syscall_hist = None
@@ -193,10 +197,10 @@ class Kernel:
             self.syscall_counts_by_name.get(req.name, 0) + 1
         )
         thread.current_syscall = req
-        obs = self.obs
+        obs = self._obs_active
         span = None
         dispatch_start = 0
-        if obs is not None and obs.active:
+        if obs is not None:
             dispatch_start = self.sim.now
             replica = getattr(thread.process, "replica_index", None)
             if obs.recorder is not None and replica is not None:
@@ -404,7 +408,14 @@ class Kernel:
         return bytes(out[:count])
 
     def random_u64(self) -> int:
-        return int.from_bytes(self.random_bytes(8), "little")
+        """``int.from_bytes(self.random_bytes(8), "little")``: one
+        generator step, whose 8 little-endian bytes decode back to the
+        new state itself."""
+        state = (self._rng_state * 6364136223846793005 + 1442695040888963407) & (
+            (1 << 64) - 1
+        )
+        self._rng_state = state
+        return state
 
     def copy_cost(self, nbytes: int) -> Sleep:
         return Sleep(int(nbytes * self.config.costs.copy_ns_per_byte), cpu=True)

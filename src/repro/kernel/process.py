@@ -129,6 +129,9 @@ class Process:
         #: Set by the MVEE when this replica is removed from the group as
         #: a benign fault (degraded mode) — its death is then expected.
         self.quarantined = False
+        #: Multiplier on guest ``Compute`` time (memory-pressure model;
+        #: the MVEE front ends set it per replica).
+        self.compute_factor = 1.0
         self.exit_event = Event("exit:%s" % name)
         self.start_time_ns = 0
         # Accounting for times()/getrusage()
@@ -172,6 +175,8 @@ class Thread:
         self.tracer = None
         self.ptrace_stopped = False
         self.ptrace_resume_event = None
+        #: The tracer's reusable wait on this thread's resume event.
+        self.ptrace_park_wait = None
         self.ptrace_current_stop = None
         self.ptrace_skip_call = False
         self.ptrace_forced_result = None

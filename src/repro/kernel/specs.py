@@ -148,7 +148,7 @@ class IovecOut(ArgSpec):
 class SyscallSpec:
     """Everything the monitors need to know about one syscall."""
 
-    __slots__ = ("name", "args", "blocking", "io_write", "notes")
+    __slots__ = ("name", "args", "blocking", "io_write", "notes", "_out_buffers")
 
     def __init__(
         self,
@@ -165,14 +165,19 @@ class SyscallSpec:
         #: Does the call emit externally observable output?
         self.io_write = io_write
         self.notes = notes
+        self._out_buffers = None
 
     def out_buffers(self):
-        """Indices of args that carry kernel-filled output data."""
-        return [
-            i
-            for i, a in enumerate(self.args)
-            if a.kind in ("buf_out", "struct_out", "iovec_out")
-        ]
+        """Indices of args that carry kernel-filled output data (a tuple,
+        built on first use)."""
+        out = self._out_buffers
+        if out is None:
+            out = self._out_buffers = tuple(
+                i
+                for i, a in enumerate(self.args)
+                if a.kind in ("buf_out", "struct_out", "iovec_out")
+            )
+        return out
 
     def __repr__(self):
         return "SyscallSpec(%s)" % self.name

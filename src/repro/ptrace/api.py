@@ -93,13 +93,14 @@ class Tracer:
         return True
 
     def report_syscall_entry(self, thread, req):
-        stop = Stop("syscall-entry", thread, req=req)
-        yield from self._deliver_and_park(stop)
+        yield self._park(Stop("syscall-entry", thread, req))
+        thread.ptrace_stopped = False
         return None
 
     def report_syscall_exit(self, thread, req, result):
-        stop = Stop("syscall-exit", thread, req=req, result=result)
-        yield from self._deliver_and_park(stop)
+        stop = Stop("syscall-exit", thread, req, result)
+        yield self._park(stop)
+        thread.ptrace_stopped = False
         return stop.final_result
 
     def report_signal(self, thread, signo: int, sender_pid: int = 0) -> None:
@@ -169,9 +170,21 @@ class Tracer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _deliver_and_park(self, stop: Stop):
+    def _park(self, stop: Stop) -> WaitEvent:
+        """Stop the tracee, hand the stop to the tracer, and return the
+        wait that parks the tracee until :meth:`resume`. The caller
+        yields it, then clears ``ptrace_stopped``.
+
+        A thread is parked at most once at a time and every stop is
+        resumed at most once, so each thread keeps one resume event and
+        its wait, re-armed here at every stop."""
         thread = stop.thread
-        event = Event("resume:%s" % thread.name)
+        wait = thread.ptrace_park_wait
+        if wait is None:
+            wait = thread.ptrace_park_wait = WaitEvent(Event("resume"))
+        event = wait.event
+        event.fired = False
+        event.value = None
         thread.ptrace_stopped = True
         thread.ptrace_resume_event = event
         thread.ptrace_current_stop = stop
@@ -179,5 +192,4 @@ class Tracer:
         if self.stop_handler is None:
             raise MonitorError("tracer %s has no stop handler" % self.name)
         self.stop_handler(stop)
-        yield WaitEvent(event)
-        thread.ptrace_stopped = False
+        return wait

@@ -60,13 +60,17 @@ class Event:
         self.fired = False
         self.value: Any = None
         self._waiters: list = []
-        self._listeners: list = []
+        #: Listener list, allocated by the first add_listener (most
+        #: events never get one).
+        self._listeners: Optional[list] = None
 
     def add_listener(self, fn) -> None:
         """Register ``fn(value)`` to run synchronously when this event
         fires; called immediately if the event already fired."""
         if self.fired:
             fn(self.value)
+        elif self._listeners is None:
+            self._listeners = [fn]
         else:
             self._listeners.append(fn)
 

@@ -22,9 +22,9 @@ cumulative profile. Three structural choices remove that:
   (the calendar pages); only *distinct* timestamps go through the
   overflow heap. A same-instant storm of N callbacks costs one heap
   push + N list appends instead of N heap pushes, and global
-  ``(when, seq)`` order is preserved because the global sequence
-  counter increases monotonically — insertion order within a bucket
-  *is* seq order, even for entries appended while the bucket drains.
+  ``(when, seq)`` order is preserved without storing a sequence number:
+  insertion order within a bucket *is* seq order, even for entries
+  appended while the bucket drains.
 * **Closure-free wakeups** — sleeps and wait-timeouts schedule a
   pooled ``__slots__`` :class:`_Wakeup` record instead of defining a
   fresh closure; records are recycled through a free list after they
@@ -39,6 +39,7 @@ cumulative profile. Three structural choices remove that:
 
 from __future__ import annotations
 
+import sys
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterator, Optional
 
@@ -161,6 +162,19 @@ class _Wakeup:
         self.kind = kind
 
 
+class _Resume:
+    """One queue entry resuming one task with ``send``: what a spawn, a
+    single-waiter fire or a wait on an already-fired event schedules.
+    Like a direct ``_step`` call it checks only that the task is not
+    done, not its wait epoch."""
+
+    __slots__ = ("task", "send")
+
+    def __init__(self, task, send):
+        self.task = task
+        self.send = send
+
+
 class _EventDrain:
     """One queue entry releasing every waiter of a fired event in order."""
 
@@ -196,12 +210,12 @@ class Simulator:
         self.trace_sink = trace
         # Calendar queue: per-timestamp FIFO buckets plus a heap over the
         # *distinct* timestamps. Within a bucket, append order is global
-        # seq order (the counter is monotone), so FIFO-per-timestamp
-        # reproduces exact (when, seq) dequeue order.
+        # scheduling order, so FIFO-per-timestamp reproduces exact
+        # (when, seq) dequeue order. A timestamp is in the heap exactly
+        # while its bucket holds entries, so the heap's emptiness is the
+        # queue's.
         self._buckets: dict = {}
         self._times: list = []
-        self._pending = 0
-        self._seq = 0
         self._wakeup_pool: list = []
         self._cpu_active = 0
         self._steps = 0
@@ -211,14 +225,12 @@ class Simulator:
     # ------------------------------------------------------------------
     def _schedule(self, when: int, entry) -> None:
         """Insert ``entry`` into the calendar bucket for ``when``."""
-        self._seq += 1
         bucket = self._buckets.get(when)
         if bucket is None:
             self._buckets[when] = [entry]
             heappush(self._times, when)
         else:
             bucket.append(entry)
-        self._pending += 1
 
     def call_at(self, when: int, fn: Callable, *args) -> None:
         """Schedule ``fn(*args)`` to run at virtual time ``when``."""
@@ -235,7 +247,7 @@ class Simulator:
     def spawn(self, gen: Iterator, name: str = "task") -> Task:
         """Create a task from generator ``gen`` and start it immediately."""
         task = Task(gen, name)
-        self._schedule(self.now, (self._step, (task, None, None)))
+        self._schedule(self.now, _Resume(task, None))
         return task
 
     # ------------------------------------------------------------------
@@ -253,17 +265,17 @@ class Simulator:
             if len(waiters) == 1:
                 task, epoch = waiters[0]
                 if task._wait_epoch == epoch and not task.done:
-                    self._schedule(
-                        self.now, (self._step, (task, (True, value), None))
-                    )
+                    self._schedule(self.now, _Resume(task, (True, value)))
             else:
                 # Rendezvous storm: one drain entry releases all N
                 # waiters in their original seq order instead of N
                 # separate queue entries.
                 self._schedule(self.now, _EventDrain(waiters, value))
-        listeners, event._listeners = event._listeners, []
-        for listener in listeners:
-            listener(value)
+        listeners = event._listeners
+        if listeners is not None:
+            event._listeners = None
+            for listener in listeners:
+                listener(value)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -273,13 +285,16 @@ class Simulator:
         budget is exhausted. Returns the final virtual time.
 
         ``max_steps`` budgets *this call only*; the lifetime callback
-        count remains readable via :attr:`steps`.
+        count remains readable via :attr:`steps` once the call returns
+        or raises (it is kept in a local while the loop runs).
         """
-        budget = None if max_steps is None else self._steps + max_steps
+        steps = self._steps
+        budget = sys.maxsize if max_steps is None else steps + max_steps
         buckets = self._buckets
         times = self._times
         step = self._step
-        while self._pending:
+        recycle = self._wakeup_pool.append
+        while times:
             when = times[0]
             if until is not None and when > until:
                 self.now = until
@@ -292,9 +307,9 @@ class Simulator:
             try:
                 # Drain in place: entries appended at this timestamp
                 # while draining carry higher seqs and simply extend the
-                # iteration.
-                while index < len(bucket):
-                    entry = bucket[index]
+                # iteration (a list iterator re-reads the length on every
+                # step, so no len() call per entry).
+                for entry in bucket:
                     bucket[index] = None
                     index += 1
                     cls = entry.__class__
@@ -309,7 +324,9 @@ class Simulator:
                             else:
                                 step(task, None, None)
                         entry.task = None
-                        self._wakeup_pool.append(entry)
+                        recycle(entry)
+                    elif cls is _Resume:
+                        step(entry.task, entry.send, None)
                     elif cls is _EventDrain:
                         value = entry.value
                         for task, epoch in entry.waiters:
@@ -318,21 +335,24 @@ class Simulator:
                     else:
                         fn, args = entry
                         fn(*args)
-                    self._steps += 1
-                    if budget is not None and self._steps >= budget:
+                    steps += 1
+                    if steps >= budget:
                         raise SimulationError(
                             "simulation exceeded %d steps at t=%d"
                             % (max_steps, self.now)
                         )
-            finally:
-                self._pending -= index
+            except BaseException:
+                # Interrupted (step budget / callback failure): keep the
+                # unexecuted tail of the bucket runnable.
+                self._steps = steps
                 if index >= len(bucket):
                     del buckets[when]
                 else:
-                    # Interrupted mid-bucket (step budget / callback
-                    # failure): keep the unexecuted tail runnable.
                     del bucket[:index]
                     heappush(times, when)
+                raise
+            del buckets[when]
+        self._steps = steps
         return self.now
 
     def run_task(self, gen: Iterator, name: str = "main", **kwargs) -> Any:
@@ -397,20 +417,16 @@ class Simulator:
             else:
                 record = _Wakeup(task, task._wait_epoch, wake_kind)
             when = self.now + ns
-            self._seq += 1
             bucket = self._buckets.get(when)
             if bucket is None:
                 self._buckets[when] = [record]
                 heappush(self._times, when)
             else:
                 bucket.append(record)
-            self._pending += 1
         elif kind == 2:
             event = item.event
             if event.fired:
-                self._schedule(
-                    self.now, (self._step, (task, (True, event.value), None))
-                )
+                self._schedule(self.now, _Resume(task, (True, event.value)))
             else:
                 event._waiters.append((task, task._wait_epoch))
                 if item.timeout_ns is not None:
@@ -420,7 +436,7 @@ class Simulator:
                     )
         elif kind == 3:
             child = self.spawn(item.gen, item.name)
-            self._schedule(self.now, (self._step, (task, child, None)))
+            self._schedule(self.now, _Resume(task, child))
         else:
             exc = SimulationError(
                 "task %s yielded a non-effect: %r" % (task.name, item)
@@ -454,8 +470,10 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of scheduled queue entries not yet executed."""
-        return self._pending
+        """Number of scheduled queue entries not yet executed (read
+        between runs: a bucket being drained still holds its spent
+        prefix)."""
+        return sum(len(bucket) for bucket in self._buckets.values())
 
     @property
     def steps(self) -> int:

@@ -74,8 +74,12 @@ class TestRecordLifecycle:
         rb.region.write(record.offset + 8, b"\xff" * 4)  # args length
         rb.region.write(record.offset + 20, b"\xff" * 4)  # result length
         assert len(record.read_args()) == rb.size - record.offset - HEADER_SIZE
+        _state, _waiters, args_len, _flags = record.words()
+        assert len(record.args_blob(args_len)) == rb.size - record.offset - HEADER_SIZE
         # The results now start past the region's end.
         assert record.read_results()[1] == b""
+        args_len, _flags, _result, result_len, _pad = record.tail()
+        assert record.payload(args_len, result_len) == b""
         record.write_results(1, b"dropped")
         assert max(rb.region.pages) < rb.size // PAGE_SIZE
 
@@ -273,6 +277,21 @@ def _accessors(record):
     )
 
 
+def _combined_accessors(record):
+    """The same five values through the readers that fetch adjacent
+    header words in one call (what IP-MON's slave path uses)."""
+    state, waiters, args_len, flags = record.words()
+    tail_args_len, tail_flags, result, result_len, _pad = record.tail()
+    assert (tail_args_len, tail_flags) == (args_len, flags)
+    return (
+        state,
+        waiters,
+        flags,
+        record.args_blob(args_len),
+        (result, record.payload(tail_args_len, result_len)),
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=1 << 32),
@@ -310,6 +329,7 @@ def test_property_paged_rb_matches_flat_reference(seed, records):
         record.add_waiter(delta)
         ref.add_waiter(delta)
         assert _accessors(record) == _accessors(ref)
+        assert _combined_accessors(record) == _accessors(ref)
         if finish != "poison":
             payload = rng.randbytes(payload_size)
             result = rng.randrange(-(1 << 63), 1 << 63)
@@ -321,6 +341,7 @@ def test_property_paged_rb_matches_flat_reference(seed, records):
         written.append((record, ref))
     for record, ref in written:
         assert _accessors(record) == _accessors(ref)
+        assert _combined_accessors(record) == _accessors(ref)
     assert bytes(rb.region.read(0, rb.size)) == bytes(model)
 
 

@@ -199,6 +199,90 @@ class TestPerCallStepBudget:
         assert sim.steps > first
 
 
+def _growing_bucket(engine, burst, growth, log):
+    """``burst`` callbacks at t=5; each of the first ``growth`` of them
+    appends one more at the same instant (so the bucket grows while it
+    drains), and one callback lands later at t=9. Returns a one-item
+    list counting the callbacks scheduled so far."""
+    scheduled = [burst + 1]
+
+    def emit(tag):
+        log.append((engine.now, tag))
+        if tag < growth:
+            scheduled[0] += 1
+            engine.call_soon(emit, 100 + tag)
+
+    for tag in range(burst):
+        engine.call_at(5, emit, tag)
+    engine.call_at(9, emit, 1_000)
+    return scheduled
+
+
+class TestBudgetTripInGrowingBucket:
+    """The drain loop iterates a bucket that grows while it drains; a
+    step budget may trip anywhere in it. Each trip must have run exactly
+    ``budget`` callbacks in heap order, count them in ``steps``, keep
+    the unexecuted tail (appended entries included) runnable, and
+    report it in ``pending``."""
+
+    @given(
+        burst=st.integers(min_value=1, max_value=12),
+        growth=st.integers(min_value=0, max_value=12),
+        budget=st.integers(min_value=1, max_value=7),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sliced_runs_match_heap_order(self, burst, growth, budget):
+        ref_log = []
+        ref = HeapModel()
+        _growing_bucket(ref, burst, growth, ref_log)
+        ref.run()
+        sim_log = []
+        sim = Simulator()
+        scheduled = _growing_bucket(sim, burst, growth, sim_log)
+        trips = 0
+        while True:
+            before = sim.steps
+            try:
+                sim.run(max_steps=budget)
+            except SimulationError:
+                trips += 1
+                assert sim.steps == before + budget
+                assert sim_log == ref_log[: sim.steps]
+                assert sim.pending == scheduled[0] - sim.steps
+                continue
+            break
+        assert sim_log == ref_log
+        assert sim.steps == len(ref_log)
+        assert sim.pending == 0
+        # A slice trips as soon as it has run ``budget`` callbacks, even
+        # when that emptied the queue.
+        assert trips == len(ref_log) // budget
+
+    def test_failing_callback_mid_bucket_keeps_the_tail(self):
+        """A callback that raises is not counted as a step; the entries
+        after it, including ones appended during the drain, still run."""
+        sim = Simulator()
+        log = []
+
+        def ok(tag):
+            log.append(tag)
+            if tag == 0:
+                sim.call_soon(ok, "appended")
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.call_at(5, ok, 0)
+        sim.call_at(5, boom)
+        sim.call_at(5, ok, 1)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert log == [0] and sim.steps == 1 and sim.pending == 2
+        sim.run()
+        assert log == [0, 1, "appended"]
+        assert sim.steps == 3 and sim.pending == 0
+
+
 class TestBatchEventDrain:
     def test_storm_release_wakes_all_waiters_in_spawn_order(self):
         sim = Simulator()

@@ -2,6 +2,7 @@
 coverage, and the typed simulator trace sink."""
 
 import functools
+from dataclasses import replace
 
 import pytest
 
@@ -63,19 +64,29 @@ class TestZeroCostWhenDisabled:
         assert spans_a.wall_time_ns == spans_b.wall_time_ns
 
 
+#: A quarter of the derived workloads' 40 ms of native run time.
+FIGURE3_NATIVE_MS = 10.0
+
+
 @functools.lru_cache(maxsize=None)
 def parsec_workload(name):
     profile = next(b for b in PARSEC_BENCHMARKS if b.name == name)
-    return derive_workload(profile, calibrate())
+    return replace(derive_workload(profile, calibrate()), native_ms=FIGURE3_NATIVE_MS)
 
 
 @pytest.mark.parametrize("level", [Level.NO_IPMON, Level.NONSOCKET_RW],
                          ids=lambda level: level.name)
 @pytest.mark.parametrize("bench", ["blackscholes", "dedup"])
 def test_obs_overhead_on_figure3_workloads(bench, level):
-    """The same contract on two full Figure-3 workloads, a light one and
-    the most syscall-heavy one: metrics-only is free, spans and spans +
-    flight recorder cost under 10 %, and the wait histograms fill."""
+    """The same contract on two Figure-3 workloads, a light one and the
+    most syscall-heavy one: metrics-only is free, spans and spans +
+    flight recorder are deterministic and cost under 10 %, and the wait
+    histograms fill.
+
+    Spans need not lengthen a run: their small charges shift thread
+    interleavings, and some runs end a little earlier (dedup at 5 ms
+    reads spans/base 0.998), so only the upper bound is asserted.
+    """
     workload = parsec_workload(bench)
 
     def run(obs):
@@ -84,9 +95,15 @@ def test_obs_overhead_on_figure3_workloads(bench, level):
     _, base = run(None)
     metrics_mvee, metrics = run(ObsConfig())
     spans_mvee, spans = run(ObsConfig(spans=True))
+    _, spans_again = run(ObsConfig(spans=True))
     _, full = run(ObsConfig(spans=True, flight_recorder=True))
+    _, full_again = run(ObsConfig(spans=True, flight_recorder=True))
     assert metrics.wall_time_ns == base.wall_time_ns
-    assert base.wall_time_ns <= spans.wall_time_ns <= 1.10 * base.wall_time_ns
+    assert metrics.stats == base.stats
+    for first, again in ((spans, spans_again), (full, full_again)):
+        assert first.wall_time_ns == again.wall_time_ns
+        assert first.stats == again.stats
+    assert spans.wall_time_ns <= 1.10 * base.wall_time_ns
     assert full.wall_time_ns <= 1.10 * base.wall_time_ns
     hist = metrics_mvee.obs.registry.histograms["rendezvous_wait_ns"]
     assert hist.count > 0
