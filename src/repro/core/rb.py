@@ -207,7 +207,11 @@ class RBLane:
         return self.master_offset + HEADER_SIZE + nbytes <= self.size
 
     def slaves_caught_up(self) -> bool:
-        return all(seq >= self.master_seq for seq in self.consumed.values())
+        master_seq = self.master_seq
+        for seq in self.consumed.values():
+            if seq < master_seq:
+                return False
+        return True
 
     def reserve(self, nbytes: int) -> RBRecord:
         """Allocate the next record (caller ensured it fits)."""

@@ -13,6 +13,10 @@ import inspect
 from typing import Callable, Dict, Optional, Tuple
 
 
+#: Default of :meth:`SyscallRequest.replace`: keep the field as it is.
+_KEEP = object()
+
+
 class SyscallRequest:
     """One system-call invocation.
 
@@ -50,15 +54,15 @@ class SyscallRequest:
             return self.args[index]
         return default
 
-    def replace(self, **kwargs) -> "SyscallRequest":
-        fields = {
-            "name": self.name,
-            "args": self.args,
-            "site": self.site,
-            "token": self.token,
-        }
-        fields.update(kwargs)
-        return SyscallRequest(**fields)
+    def replace(self, name=_KEEP, args=_KEEP, site=_KEEP, token=_KEEP) -> "SyscallRequest":
+        """A copy with the given fields changed (``bypass_agents`` is
+        not carried over)."""
+        return SyscallRequest(
+            self.name if name is _KEEP else name,
+            self.args if args is _KEEP else args,
+            self.site if site is _KEEP else site,
+            self.token if token is _KEEP else token,
+        )
 
     def __repr__(self):
         return "SyscallRequest(%s%r, site=%s)" % (self.name, self.args, self.site)

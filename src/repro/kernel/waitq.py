@@ -40,6 +40,8 @@ class WaitQueue:
 
     def notify(self, sim, count: int, value: Any = None) -> int:
         """Wake up to ``count`` waiters; returns how many were woken."""
+        if not self._events:
+            return 0
         woken = 0
         remaining: List[Event] = []
         for event in self._events:
@@ -54,6 +56,8 @@ class WaitQueue:
         return woken
 
     def notify_all(self, sim, value: Any = None) -> int:
+        if not self._events:
+            return 0
         return self.notify(sim, len(self._events), value)
 
     def __len__(self) -> int:

@@ -163,8 +163,9 @@ class _Wakeup:
 
 
 class _Resume:
-    """One queue entry resuming one task with ``send``: what a spawn, a
-    single-waiter fire or a wait on an already-fired event schedules.
+    """One queue entry resuming one task with ``send``: what a
+    single-waiter fire, a wait on an already-fired event or a ``Spawn``
+    effect schedules.
     Like a direct ``_step`` call it checks only that the task is not
     done, not its wait epoch."""
 
@@ -247,7 +248,9 @@ class Simulator:
     def spawn(self, gen: Iterator, name: str = "task") -> Task:
         """Create a task from generator ``gen`` and start it immediately."""
         task = Task(gen, name)
-        self._schedule(self.now, _Resume(task, None))
+        # A plain tuple here: spawns come in bursts while a run is built,
+        # and this keeps them as cheap as they were.
+        self._schedule(self.now, (self._step, (task, None, None)))
         return task
 
     # ------------------------------------------------------------------
