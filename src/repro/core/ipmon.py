@@ -120,9 +120,9 @@ class IpMonGroup:
         for lane in self.rb.lanes.values():
             if was_master:
                 for record in lane.records:
-                    if record.state() != STATE_RESULTS_READY:
+                    if record.words()[0] != STATE_RESULTS_READY:
                         record.poison()
-                        if survivor is not None and record.waiters() > 0:
+                        if survivor is not None and record.words()[1] > 0:
                             # Futex keys derive from the backing region,
                             # so waking through any survivor's mapping
                             # wakes waiters in every replica.
@@ -477,7 +477,7 @@ class IpmonReplica:
     def _wake_record(self, record, costs) -> None:
         """FUTEX_WAKE the record's condition variable — but only when a
         slave actually waits (§3.7's no-waiter optimization)."""
-        if record.waiters() > 0:
+        if record.words()[1] > 0:
             addr = self._rb_base + record.state_word_offset()
             self.kernel.futexes.wake(self.space, addr, 1 << 30, self.kernel.sim)
             # The wake syscall itself costs time; charged to the master.
@@ -683,7 +683,7 @@ class IpmonReplica:
         backoff = policy.rb_backoff_initial_ns if policy is not None else 0
         waited = 0
         while True:
-            state = record.state()
+            state = record.words()[0]
             if state == STATE_RESULTS_READY:
                 return False
             if state != STATE_ARGS_READY and state != 0:
@@ -713,7 +713,7 @@ class IpmonReplica:
             addr = self._rb_base + record.state_word_offset()
             timeout = backoff if (policy is not None and not may_block) else None
             result = yield from self.kernel.futexes.wait(
-                self.kernel, thread, self.space, addr, record.state(), timeout
+                self.kernel, thread, self.space, addr, record.words()[0], timeout
             )
             record.add_waiter(-1)
             if result == -E.EINTR:

@@ -91,31 +91,26 @@ class RBRecord:
         self.result_len = 0
 
     # -- region accessors -------------------------------------------------
-    # Every accessor reads the header words from the region each time:
+    # Every reader reads the header words from the region each time:
     # they live in attacker-writable shared memory, so a cached copy
-    # would hide RB tampering. Adjacent words wanted together are read
-    # in one call.
+    # would hide RB tampering. ``words()`` and ``tail()`` read the
+    # adjacent header words in one call; ``args_blob()`` and
+    # ``payload()`` read the bodies those lengths locate.
     def _read(self, start: int, length: int) -> bytes:
         # Lengths come from attacker-writable header words: clamp at the
         # region's end rather than reading (or allocating) past it.
         region = self.region
         return bytes(region.read(start, max(0, min(length, region.length - start))))
 
-    def state(self) -> int:
-        return _U32.unpack(self.region.read(self.offset + OFF_STATE, 4))[0]
-
     def set_state(self, value: int) -> None:
         self.region.write(self.offset + OFF_STATE, _U32.pack(value))
-
-    def waiters(self) -> int:
-        return _U32.unpack(self.region.read(self.offset + OFF_WAITERS, 4))[0]
 
     def add_waiter(self, delta: int) -> None:
         # Clamped: the word lives in attacker-writable shared memory, so
         # arithmetic on it must never raise out of range.
         self.region.write(
             self.offset + OFF_WAITERS,
-            _U32.pack(max(0, min(0xFFFFFFFF, self.waiters() + delta))),
+            _U32.pack(max(0, min(0xFFFFFFFF, self.words()[1] + delta))),
         )
 
     def state_word_offset(self) -> int:
@@ -127,13 +122,6 @@ class RBRecord:
         # Header and blob in one write; the state word lands as ARGS_READY.
         header = _HEADER.pack(STATE_ARGS_READY, 0, len(blob), flags, 0, 0, 0)
         self.region.write(self.offset, header + blob)
-
-    def read_args(self) -> bytes:
-        length = _U32.unpack(self.region.read(self.offset + OFF_ARGS_LEN, 4))[0]
-        return self._read(self.offset + HEADER_SIZE, length)
-
-    def flags(self) -> int:
-        return _U32.unpack(self.region.read(self.offset + OFF_FLAGS, 4))[0]
 
     def words(self):
         """``(state, waiters, args_len, flags)``, read in one call."""
@@ -154,17 +142,13 @@ class RBRecord:
     def write_results(self, result: int, payload: bytes) -> None:
         region = self.region
         offset = self.offset
-        args_len = _U32.unpack(region.read(offset + OFF_ARGS_LEN, 4))[0]
+        args_len = self.words()[2]
         self.result_len = len(payload)
         region.write(offset + OFF_RESULT, _RESULT.pack(result, len(payload), 0))
         if payload:
             start = offset + HEADER_SIZE + args_len
             region.write(start, payload[: max(0, region.length - start)])
         region.write(offset + OFF_STATE, _RESULTS_READY_WORD)
-
-    def read_results(self):
-        args_len, _flags, result, result_len, _pad = self.tail()
-        return result, self.payload(args_len, result_len)
 
     def total_bytes(self) -> int:
         return HEADER_SIZE + self.args_len + self.result_len
@@ -175,7 +159,7 @@ class RBRecord:
         route the corresponding call to GHUMVEE's rendezvous instead of
         trusting a half-written record."""
         region = self.region
-        region.write(self.offset + OFF_FLAGS, _U32.pack(self.flags() | FLAG_FORWARDED))
+        region.write(self.offset + OFF_FLAGS, _U32.pack(self.words()[3] | FLAG_FORWARDED))
         region.write(self.offset + OFF_RESULT, _RESULT.pack(0, 0, 0))
         self.set_state(STATE_RESULTS_READY)
 

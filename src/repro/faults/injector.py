@@ -435,8 +435,7 @@ class FaultInjector:
         from repro.core.rb import HEADER_SIZE
 
         region = record.region
-        length = record.read_args()
-        if not length:
+        if not record.args_blob(record.words()[2]):
             self.stats["skipped"] += 1
             return
         pos = record.offset + HEADER_SIZE
@@ -457,7 +456,7 @@ class FaultInjector:
         for lane in candidates:
             for index in sorted(lane.consumed):
                 record = lane.next_record_for(index)
-                if record is not None and record.state() >= 1 and record.args_len:
+                if record is not None and record.words()[0] >= 1 and record.args_len:
                     return record
         return None
 

@@ -120,26 +120,32 @@ class GuestRuntime:
             tracer.report_fatal_signal(thread, signo)
         self.kernel.terminate_process(self.process, 128 + signo, signo)
 
-    def _drive(self, thread, gen):
+    def _drive(self, thread, gen, in_handler: bool = False):
         """Pump one guest generator; returns its StopIteration value.
 
         ``Compute`` and ``SyscallRequest``, nearly every item a guest
-        yields, are dispatched inline by exact class; anything else
-        (nested generators, raw effects, subclasses) goes through
-        :meth:`_do_item`. The signal check reads the pending queue
-        first, so a thread with nothing pending pays no call for it.
+        yields, are dispatched inline (an exact class match costs no
+        ``isinstance`` call); nested generators, raw effects and unknown
+        items go through :meth:`_do_item`. The signal check reads the
+        pending queue first, so a thread with nothing pending pays no
+        call for it.
+
+        A signal handler body (``in_handler=True``) is pumped the same way
+        but takes no nested asynchronous signal and no exit check, and a
+        ``MemoryFault`` in it propagates.
         """
         process = self.process
         kernel = self.kernel
         to_send = None
         throw: Optional[BaseException] = None
         while True:
-            if process.exited:
-                raise ProcessExitRequest(process.exit_code or 0)
-            if thread.pending:
-                pending = thread.deliverable_signal()
-                if pending is not None:
-                    yield from self._deliver_signal(thread, pending)
+            if not in_handler:
+                if process.exited:
+                    raise ProcessExitRequest(process.exit_code or 0)
+                if thread.pending:
+                    pending = thread.deliverable_signal()
+                    if pending is not None:
+                        yield from self._deliver_signal(thread, pending)
             try:
                 if throw is not None:
                     exc, throw = throw, None
@@ -150,17 +156,21 @@ class GuestRuntime:
                 return stop.value
             try:
                 cls = item.__class__
-                if cls is Compute:
+                if cls is SyscallRequest or (
+                    cls is not Compute and isinstance(item, SyscallRequest)
+                ):
+                    to_send = yield from kernel.syscall_path(thread, item)
+                elif cls is Compute or isinstance(item, Compute):
                     ns = int(item.ns * process.compute_factor)
                     yield Sleep(ns, cpu=True)
                     thread.utime_ns += ns
                     process.utime_ns += ns
                     to_send = None
-                elif cls is SyscallRequest:
-                    to_send = yield from kernel.syscall_path(thread, item)
                 else:
                     to_send = yield from self._do_item(thread, item)
             except MemoryFault as fault:
+                if in_handler:
+                    raise
                 # A fault in guest code (not in a syscall): SIGSEGV. If
                 # handled, the handler runs, then the faulting operation
                 # is *not* restarted — the fault is re-raised into the
@@ -170,15 +180,6 @@ class GuestRuntime:
                 to_send = None
 
     def _do_item(self, thread, item):
-        if isinstance(item, Compute):
-            ns = int(item.ns * self.process.compute_factor)
-            yield Sleep(ns, cpu=True)
-            thread.utime_ns += ns
-            self.process.utime_ns += ns
-            return None
-        if isinstance(item, SyscallRequest):
-            result = yield from self.kernel.syscall_path(thread, item)
-            return result
         if isinstance(item, types.GeneratorType):
             # Allow guests to delegate to sub-coroutines they built with
             # helper functions (e.g. ctx.sync_point wrapped by libc).
@@ -210,7 +211,7 @@ class GuestRuntime:
         ctx = thread.guest_ctx
         result = handler(ctx, signo)
         if isinstance(result, types.GeneratorType):
-            yield from self._drive_handler(thread, result)
+            yield from self._drive(thread, result, in_handler=True)
         return
 
     def _synchronous_signal(self, thread, signo: int):
@@ -222,18 +223,7 @@ class GuestRuntime:
         ctx = thread.guest_ctx
         result = action.handler(ctx, signo)
         if isinstance(result, types.GeneratorType):
-            yield from self._drive_handler(thread, result)
-
-    def _drive_handler(self, thread, gen) -> None:
-        """Pump a signal handler body (no nested async delivery)."""
-        to_send = None
-        while True:
-            try:
-                item = gen.send(to_send)
-            except StopIteration:
-                return
-            to_send = yield from self._do_item(thread, item)
-
+            yield from self._drive(thread, result, in_handler=True)
 
 def _kernel_thread_spawner(process, entry, arg):
     """Kernel callback: sys_clone lands here."""

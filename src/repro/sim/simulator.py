@@ -162,20 +162,6 @@ class _Wakeup:
         self.kind = kind
 
 
-class _Resume:
-    """One queue entry resuming one task with ``send``: what a
-    single-waiter fire, a wait on an already-fired event or a ``Spawn``
-    effect schedules.
-    Like a direct ``_step`` call it checks only that the task is not
-    done, not its wait epoch."""
-
-    __slots__ = ("task", "send")
-
-    def __init__(self, task, send):
-        self.task = task
-        self.send = send
-
-
 class _EventDrain:
     """One queue entry releasing every waiter of a fired event in order."""
 
@@ -248,8 +234,6 @@ class Simulator:
     def spawn(self, gen: Iterator, name: str = "task") -> Task:
         """Create a task from generator ``gen`` and start it immediately."""
         task = Task(gen, name)
-        # A plain tuple here: spawns come in bursts while a run is built,
-        # and this keeps them as cheap as they were.
         self._schedule(self.now, (self._step, (task, None, None)))
         return task
 
@@ -268,7 +252,9 @@ class Simulator:
             if len(waiters) == 1:
                 task, epoch = waiters[0]
                 if task._wait_epoch == epoch and not task.done:
-                    self._schedule(self.now, _Resume(task, (True, value)))
+                    self._schedule(
+                        self.now, (self._step, (task, (True, value), None))
+                    )
             else:
                 # Rendezvous storm: one drain entry releases all N
                 # waiters in their original seq order instead of N
@@ -328,8 +314,6 @@ class Simulator:
                                 step(task, None, None)
                         entry.task = None
                         recycle(entry)
-                    elif cls is _Resume:
-                        step(entry.task, entry.send, None)
                     elif cls is _EventDrain:
                         value = entry.value
                         for task, epoch in entry.waiters:
@@ -429,7 +413,9 @@ class Simulator:
         elif kind == 2:
             event = item.event
             if event.fired:
-                self._schedule(self.now, _Resume(task, (True, event.value)))
+                self._schedule(
+                    self.now, (self._step, (task, (True, event.value), None))
+                )
             else:
                 event._waiters.append((task, task._wait_epoch))
                 if item.timeout_ns is not None:
@@ -439,7 +425,7 @@ class Simulator:
                     )
         elif kind == 3:
             child = self.spawn(item.gen, item.name)
-            self._schedule(self.now, _Resume(task, child))
+            self._schedule(self.now, (self._step, (task, child, None)))
         else:
             exc = SimulationError(
                 "task %s yielded a non-effect: %r" % (task.name, item)

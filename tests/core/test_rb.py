@@ -27,19 +27,30 @@ def make_rb(size=1 << 16, lanes=4):
     return ReplicationBuffer(size=size, lanes=lanes)
 
 
+def read_args(record):
+    """The argument blob, located by the live args-length word."""
+    return record.args_blob(record.words()[2])
+
+
+def read_results(record):
+    """``(result, payload)``, located by the live length words."""
+    args_len, _flags, result, result_len, _pad = record.tail()
+    return result, record.payload(args_len, result_len)
+
+
 class TestRecordLifecycle:
     def test_record_state_machine(self):
         rb = make_rb()
         lane = rb.lane(0)
         record = lane.reserve(64)
-        assert record.state() == STATE_ALLOCATED
+        assert record.words()[0] == STATE_ALLOCATED
         record.write_args(b"argblob", FLAG_MAY_BLOCK)
-        assert record.state() == STATE_ARGS_READY
-        assert record.read_args() == b"argblob"
-        assert record.flags() == FLAG_MAY_BLOCK
+        assert record.words()[0] == STATE_ARGS_READY
+        assert read_args(record) == b"argblob"
+        assert record.words()[3] == FLAG_MAY_BLOCK
         record.write_results(42, b"payload")
-        assert record.state() == STATE_RESULTS_READY
-        result, payload = record.read_results()
+        assert record.words()[0] == STATE_RESULTS_READY
+        result, payload = read_results(record)
         assert (result, payload) == (42, b"payload")
 
     def test_negative_results_roundtrip(self):
@@ -47,7 +58,7 @@ class TestRecordLifecycle:
         record = rb.lane(0).reserve(32)
         record.write_args(b"", 0)
         record.write_results(-11, b"")  # -EAGAIN
-        result, payload = record.read_results()
+        result, payload = read_results(record)
         assert result == -11
 
     def test_record_bytes_live_in_region(self):
@@ -62,7 +73,7 @@ class TestRecordLifecycle:
         # Tampering through the region is visible through the record.
         idx = contents.index(b"sensitive-args")
         rb.region.write(idx, b"EVIL")
-        assert record.read_args().startswith(b"EVIL")
+        assert read_args(record).startswith(b"EVIL")
 
     def test_tampered_lengths_stop_at_region_end(self):
         """Length words live in attacker-writable memory: reads and
@@ -73,13 +84,9 @@ class TestRecordLifecycle:
         record.write_results(0, b"xyz")
         rb.region.write(record.offset + 8, b"\xff" * 4)  # args length
         rb.region.write(record.offset + 20, b"\xff" * 4)  # result length
-        assert len(record.read_args()) == rb.size - record.offset - HEADER_SIZE
-        _state, _waiters, args_len, _flags = record.words()
-        assert len(record.args_blob(args_len)) == rb.size - record.offset - HEADER_SIZE
+        assert len(read_args(record)) == rb.size - record.offset - HEADER_SIZE
         # The results now start past the region's end.
-        assert record.read_results()[1] == b""
-        args_len, _flags, _result, result_len, _pad = record.tail()
-        assert record.payload(args_len, result_len) == b""
+        assert read_results(record)[1] == b""
         record.write_results(1, b"dropped")
         assert max(rb.region.pages) < rb.size // PAGE_SIZE
 
@@ -87,14 +94,14 @@ class TestRecordLifecycle:
         rb = make_rb()
         record = rb.lane(0).reserve(32)
         record.write_args(b"", 0)
-        assert record.waiters() == 0
+        assert record.words()[1] == 0
         record.add_waiter(+1)
         record.add_waiter(+1)
-        assert record.waiters() == 2
+        assert record.words()[1] == 2
         record.add_waiter(-1)
-        assert record.waiters() == 1
+        assert record.words()[1] == 1
         record.add_waiter(-5)
-        assert record.waiters() == 0  # clamped
+        assert record.words()[1] == 0  # clamped
 
     def test_lanes_do_not_overlap_and_respect_header(self):
         rb = make_rb(size=1 << 16, lanes=4)
@@ -127,7 +134,7 @@ class TestConsumption:
             record = lane.next_record_for(1)
             if record is None:
                 break
-            seen.append(record.read_args())
+            seen.append(read_args(record))
             lane.consume(1, sim)
         assert seen == [b"blob%d" % i for i in range(5)]
 
@@ -194,8 +201,8 @@ def test_property_records_are_isolated(blobs, payloads):
         record.write_results(len(payload), payload)
         records.append((record, blob, payload))
     for record, blob, payload in records:
-        assert record.read_args() == blob
-        result, got = record.read_results()
+        assert read_args(record) == blob
+        result, got = read_results(record)
         assert result == len(payload)
         assert got == payload
 
@@ -210,7 +217,7 @@ def test_signals_pending_flag_in_reserved_header():
     # The flag byte (offset 0) is outside every lane.
     assert rb.region.read(0, 1)[0] == 0
     rb.region.write(0, b"\x01")
-    assert record.read_args() == b"A" * 40  # record untouched
+    assert read_args(record) == b"A" * 40  # record untouched
 
 
 class _FlatRecord:
@@ -267,19 +274,19 @@ class _FlatRecord:
         struct.pack_into("<I", self.data, self.offset, STATE_RESULTS_READY)
 
 
-def _accessors(record):
+def _model_reads(ref):
     return (
-        record.state(),
-        record.waiters(),
-        record.flags(),
-        record.read_args(),
-        record.read_results(),
+        ref.state(),
+        ref.waiters(),
+        ref.flags(),
+        ref.read_args(),
+        ref.read_results(),
     )
 
 
-def _combined_accessors(record):
-    """The same five values through the readers that fetch adjacent
-    header words in one call (what IP-MON's slave path uses)."""
+def _reads(record):
+    """The same five values through the record's readers, which fetch
+    adjacent header words in one call."""
     state, waiters, args_len, flags = record.words()
     tail_args_len, tail_flags, result, result_len, _pad = record.tail()
     assert (tail_args_len, tail_flags) == (args_len, flags)
@@ -322,14 +329,13 @@ def test_property_paged_rb_matches_flat_reference(seed, records):
         record = lane.reserve(blob_size + payload_size)
         ref = _FlatRecord(model, record.offset)
         ref.reserve()
-        assert _accessors(record) == _accessors(ref)
+        assert _reads(record) == _model_reads(ref)
         blob = rng.randbytes(blob_size)
         record.write_args(blob, flags)
         ref.write_args(blob, flags)
         record.add_waiter(delta)
         ref.add_waiter(delta)
-        assert _accessors(record) == _accessors(ref)
-        assert _combined_accessors(record) == _accessors(ref)
+        assert _reads(record) == _model_reads(ref)
         if finish != "poison":
             payload = rng.randbytes(payload_size)
             result = rng.randrange(-(1 << 63), 1 << 63)
@@ -340,8 +346,7 @@ def test_property_paged_rb_matches_flat_reference(seed, records):
             ref.poison()
         written.append((record, ref))
     for record, ref in written:
-        assert _accessors(record) == _accessors(ref)
-        assert _combined_accessors(record) == _accessors(ref)
+        assert _reads(record) == _model_reads(ref)
     assert bytes(rb.region.read(0, rb.size)) == bytes(model)
 
 

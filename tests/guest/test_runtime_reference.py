@@ -2,8 +2,8 @@
 
 :class:`ReferenceRuntime` keeps the dispatch the runtime had before
 ``Compute`` and ``SyscallRequest`` were handled inline: a ``_do_item``
-generator per item, an ``isinstance`` chain, and a
-``deliverable_signal()`` call before every item. Each program below runs
+generator per item, an ``isinstance`` chain, a ``deliverable_signal()``
+call before every item, and a separate pump for signal handler bodies. Each program below runs
 once under each runtime, natively and under ReMon, and every observable
 must match: what the guest saw and when, exit codes, CPU accounting,
 syscall counts, the virtual clock and the engine's step count.
@@ -29,9 +29,17 @@ BAD_ADDR = 0xBAD0000
 
 
 class ReferenceRuntime(GuestRuntime):
-    """The runtime's ``_drive``/``_do_item`` as they were, verbatim."""
+    """The runtime's ``_drive``/``_drive_handler``/``_do_item`` as they
+    were, verbatim, behind the current ``_drive`` signature."""
 
-    def _drive(self, thread, gen):
+    def _drive(self, thread, gen, in_handler=False):
+        # The runtime pumps handler bodies with ``_drive(...,
+        # in_handler=True)``; the reference used its own handler pump.
+        if in_handler:
+            return self._drive_handler(thread, gen)
+        return self._drive_guest(thread, gen)
+
+    def _drive_guest(self, thread, gen):
         to_send = None
         throw: Optional[BaseException] = None
         while True:
@@ -54,6 +62,15 @@ class ReferenceRuntime(GuestRuntime):
                 yield from self._synchronous_signal(thread, C.SIGSEGV)
                 throw = fault
                 to_send = None
+
+    def _drive_handler(self, thread, gen):
+        to_send = None
+        while True:
+            try:
+                item = gen.send(to_send)
+            except StopIteration:
+                return
+            to_send = yield from self._do_item(thread, item)
 
     def _do_item(self, thread, item):
         if isinstance(item, Compute):
@@ -87,7 +104,8 @@ def _log(ctx, log, *what):
 
 def mixed_program(log):
     """All four item kinds, nested two deep, plus a Compute subclass
-    and a signal handler that itself yields items."""
+    and a signal handler that itself yields items (a subclass and a raw
+    effect among them)."""
 
     def helper(ctx, depth):
         yield Compute(700)
@@ -103,6 +121,9 @@ def mixed_program(log):
         def on_usr1(hctx, signo):
             _log(hctx, log, "signal", signo)
             yield Compute(250)
+            yield Burst(120)
+            waited = yield Sleep(40)
+            _log(hctx, log, "handler-effect", waited)
             yield hctx.sys.getpid()
 
         yield ctx.sys.rt_sigaction(C.SIGUSR1, on_usr1)
@@ -253,7 +274,9 @@ def test_programs_reach_the_paths_they_name(monkeypatch):
     """Guards the comparison above against vacuous programs."""
     mixed = _native(mixed_program, GuestRuntime)
     events = [entry[2][0] for entry in mixed["log"]]
-    assert {"helper", "inner", "raw-effect", "signal", "read"} <= set(events)
+    assert {"helper", "inner", "raw-effect", "signal", "handler-effect", "read"} <= set(
+        events
+    )
     assert mixed["exit"] == 0
     replicated = _remon(mixed_program, GuestRuntime, monkeypatch)
     assert replicated["exit"] == [0, 0]
