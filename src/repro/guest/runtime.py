@@ -225,6 +225,7 @@ class GuestRuntime:
         if isinstance(result, types.GeneratorType):
             yield from self._drive(thread, result, in_handler=True)
 
+
 def _kernel_thread_spawner(process, entry, arg):
     """Kernel callback: sys_clone lands here."""
     runtime = getattr(process, "runtime", None)
