@@ -122,9 +122,6 @@ class MonitorFdTable:
         info = self._info.get(fd)
         return bool(info and info.nonblocking)
 
-    def open_fds(self):
-        return sorted(self._info)
-
 
 class FileMapView:
     """IP-MON's replica-side view: reads the shared metadata page.

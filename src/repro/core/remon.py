@@ -161,9 +161,8 @@ class ReMon(Supervisor):
 
         # Fault injection (repro.faults): let an installed injector
         # resolve replica indexes to this group's processes.
-        injector = getattr(kernel, "fault_injector", None)
-        if injector is not None:
-            injector.bind_mvee(self)
+        if kernel.fault_injector is not None:
+            kernel.fault_injector.bind_mvee(self)
 
     def _wrapped_program(self) -> Program:
         """The program each replica runs: with IP-MON, its registration
@@ -234,6 +233,9 @@ class ReMon(Supervisor):
 
     def _ipmon_stats(self) -> dict:
         return self.ipmon.stats if self.ipmon is not None else {}
+
+    def rb_lanes(self) -> dict:
+        return self.ipmon.rb.lanes if self.ipmon is not None else {}
 
     # ------------------------------------------------------------------
     # Events

@@ -9,7 +9,7 @@ single-machine :class:`~repro.core.remon.ReMon` and the distributed
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.events import DivergenceReport, MveeResult
 from repro.obs import Obs
@@ -56,6 +56,10 @@ class Supervisor:
     ``_promote(dead_index)``, ``_release(index, was_master, report)``
     (free a quarantined replica's monitor state once it is marked,
     promoted away from and killed) and ``_collect_stats(result, registry)``.
+    The fault injector finds its targets through ``shard_owners()``,
+    ``degrade_link(fault)``, ``grant_rejoin(index)`` and ``rb_lanes()``;
+    a front end without the target keeps the default, and the fault
+    counts as skipped.
     """
 
     def __init__(self, config, sim):
@@ -87,6 +91,25 @@ class Supervisor:
     def _wake_everyone(self) -> None:
         """Wake threads parked on monitor state so they observe a
         teardown (no-op unless the subclass parks threads itself)."""
+
+    # ------------------------------------------------------------------
+    # Fault targets (repro.faults)
+    # ------------------------------------------------------------------
+    def shard_owners(self) -> Tuple[int, ...]:
+        """Replicas that own rendezvous shards: none without shards."""
+        return ()
+
+    def degrade_link(self, fault) -> bool:
+        """Apply a ``LinkDegradeFault``: False without inter-node links."""
+        return False
+
+    def grant_rejoin(self, index: int) -> None:
+        """Let a ``NodeRejoinFault`` victim be re-admitted after its
+        crash: nothing to grant without a lifecycle."""
+
+    def rb_lanes(self) -> dict:
+        """The in-process RB's lanes by vtid: none without one."""
+        return {}
 
     # ------------------------------------------------------------------
     # Events
@@ -225,7 +248,7 @@ class Supervisor:
         registry = self.obs.registry
         self._collect_stats(result, registry)
         registry.ingest("", self.degradation_stats, source="degradation")
-        injector = getattr(self.group.processes[0].kernel, "fault_injector", None)
+        injector = self.group.processes[0].kernel.fault_injector
         registry.expose(
             "faults_injected",
             injector.total_injected if injector is not None else 0,

@@ -20,7 +20,7 @@ relaxation levels trade away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass
@@ -173,9 +173,6 @@ class CostModel:
     def canonical_cost_ns(self, nbytes: int) -> int:
         """CPU cost of canonicalizing one ``nbytes`` argument record."""
         return int(self.canonical_ns + self.canonical_ns_per_byte * nbytes)
-
-    def with_overrides(self, **kwargs) -> "CostModel":
-        return replace(self, **kwargs)
 
 
 #: Named machine configurations used across the evaluation.

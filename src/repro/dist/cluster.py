@@ -13,8 +13,9 @@ Rendezvous state is held in per-owner :class:`~repro.dist.shard.
 MonitorShard` instances living on their owner nodes (the leader alone
 without sharding; a rendezvous-hashed owner set under
 ``DistConfig.shard_rendezvous``), coordinated by :class:`DistMonitor`.
-Ownership is versioned by an **epoch** bumped on every quarantine:
-rendezvous frames carry the epoch they were sent under, stale frames
+Ownership is versioned by an **epoch** bumped on every quarantine and
+re-admission (:meth:`DistMvee.change_membership`, the one place any
+membership transition is applied): rendezvous frames carry the epoch they were sent under, stale frames
 addressed to a shard that no longer hosts their round are rejected,
 and an owner crash triggers an explicit handoff — surviving rounds
 that remap are shipped to their new owner (``T_SHARD_HANDOFF``), the
@@ -44,6 +45,7 @@ from repro.core.policies import Level
 from repro.core.remon import ReMonConfig
 from repro.core.supervisor import Supervisor
 from repro.dist.node import DistInterceptor, Node, ReplicaView
+from repro.dist.remote_rb import RBMirror
 from repro.dist.selective import (
     CLS_CONTROL,
     CLS_HANDOFF,
@@ -124,6 +126,15 @@ class DistConfig:
     #: Transport coalescing: flush a channel at this many pending bytes
     #: (or when its flush timer fires).
     batch_bytes: int = 4096
+    #: Which unmonitored calls the leader executes and ships. An
+    #: ``external`` policy (:func:`repro.dist.selective.fleet_replication`)
+    #: runs the cluster in external-service mode (repro.fleet): clients
+    #: live outside the cluster and reach the leader's node only, so
+    #: accept() executes leader-only with followers adopting the fd,
+    #: and readiness calls are replicated — see
+    #: :data:`repro.dist.selective.EXTERNAL_LEADER_CALLS`. That mode
+    #: needs Level.SOCKET_RW or looser: at stricter levels recv/send
+    #: would rendezvous and execute on follower phantom fds.
     replication: SelectiveReplication = field(
         default_factory=selective_replication
     )
@@ -142,16 +153,6 @@ class DistConfig:
     #: ``Network.set_link`` / ``LinkDegradeFault``). A lossy network, or
     #: a planned ``LinkDegradeFault``, enables the reliable transport.
     link_loss_prob: float = 0.0
-    #: External-service mode (repro.fleet): the replicated program
-    #: serves clients that live *outside* the cluster and reach the
-    #: leader's node only. accept() executes leader-only with followers
-    #: adopting the fd, and readiness calls (epoll/poll/select) are
-    #: replicated instead of process-local — see
-    #: :data:`repro.dist.selective.EXTERNAL_LEADER_CALLS`. Requires a
-    #: relaxation level that leaves socket data calls unmonitored
-    #: (Level.SOCKET_RW): at stricter levels recv/send would rendezvous
-    #: and execute on follower phantom fds.
-    external_service: bool = False
     #: Heterogeneous per-node diversity (DESIGN.md §13, DMON-style).
     #: Every node gets its own :class:`repro.diversity.NodeProfile`:
     #: a private DCL arena, a one-way-mixed ASLR seed stream, and a
@@ -358,7 +359,7 @@ class DistMonitor:
         owner = self.mvee.shard_owner(vtid, seq)
         shard = self.shard(owner)
         start = max(sim.now, shard.busy_until)
-        done = start + self.mvee._costs().dist_monitor_round_ns
+        done = start + self.mvee.costs.dist_monitor_round_ns
         shard.busy_until = done
         self.stats["monitor_wait_ns"] += start - sim.now
         obs = self.mvee.obs
@@ -477,36 +478,53 @@ class DistMonitor:
                 if state.verdict is None and not state.completing:
                     self.try_complete(vtid, seq)
 
+    def missing_votes(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
+        """Each open round on a live shard that lacks votes, with the
+        participants it lacks."""
+        participants = self.mvee.participants()
+        gaps = {}
+        for shard in self._shards.values():
+            if shard.dead:
+                continue
+            for key, state in shard.open_rounds():
+                missing = tuple(
+                    p for p in participants if p not in state.digests
+                )
+                if missing:
+                    gaps[key] = missing
+        return gaps
+
+    def revive(self, owner: int) -> None:
+        """Replace a re-admitted owner's dead shard with a live one that
+        keeps its serviced-round count."""
+        dead = self._shards.get(owner)
+        if dead is not None and dead.dead:
+            fresh = MonitorShard(owner)
+            fresh.rounds = dead.rounds
+            self._shards[owner] = fresh
+            self.mvee.nodes[owner].shard = fresh
+
     # -- epoch handoff -----------------------------------------------------
     def _charge_handoff(self, shard: MonitorShard) -> None:
         """One round's recovery work on the adopting shard's timeline."""
-        cost = self.mvee._costs().dist_handoff_ns
+        cost = self.mvee.costs.dist_handoff_ns
         shard.busy_until = max(shard.busy_until, self.mvee.sim.now) + cost
         self.handoff_stats["handoff_cost_ns"] += cost
 
-    def begin_handoff(self, dead_index: int) -> None:
-        """Run the ownership handoff after ``dead_index`` was
-        quarantined (the epoch was already bumped by the caller).
-
-        Three steps, all billed: the leader announces the new epoch +
-        owner set; the dead shard's open rounds are evicted (their state
-        died with the owner — waiting participants re-collect them via
-        ``T_ROUND_RESUBMIT`` when they observe the epoch change); and
-        surviving hosted rounds whose routing remapped are shipped to
-        their new owner as ``T_SHARD_HANDOFF`` state transfers, adopted
-        one release lag later.
+    def begin_handoff(self, dead_index: int, owners: Tuple[int, ...]) -> None:
+        """Hand ``dead_index``'s rounds over to ``owners``, the owner set
+        of the epoch :meth:`DistMvee.change_membership` just opened and
+        announced. Both steps are billed: the dead shard's open rounds
+        are evicted (their state died with the owner — waiting
+        participants re-collect them via ``T_ROUND_RESUBMIT`` when they
+        observe the epoch change), and surviving hosted rounds whose
+        routing remapped are shipped to their new owner as
+        ``T_SHARD_HANDOFF`` state transfers, adopted one release lag
+        later.
         """
         mvee = self.mvee
         sim = mvee.sim
         epoch = mvee.epoch
-        owners = mvee.shard_owners()
-        leader = mvee.leader_index
-        announce = Frame(
-            T_SHARD_HANDOFF, leader, 0, 0, aux=epoch,
-            payload=owners_payload(owners),
-        )
-        for peer in mvee.live_peers(leader):
-            mvee.send_frame(leader, peer, announce, cls=CLS_HANDOFF, urgent=True)
         if mvee.obs.tracer.enabled and self._handoff_span is None:
             self._handoff_span = mvee.obs.tracer.begin(
                 "dist", "handoff", epoch=epoch, dead=dead_index,
@@ -549,7 +567,6 @@ class DistMonitor:
             sim.call_at(
                 sim.now + mvee.release_lag_ns(), self._adopt_transfers, transfers
             )
-        self.on_membership_change()
         if self._pending_adoptions == 0:
             self._finish_handoff_span(lost)
 
@@ -559,7 +576,7 @@ class DistMonitor:
         completion under the new membership."""
         mvee = self.mvee
         sim = mvee.sim
-        cost = mvee._costs().dist_handoff_ns
+        cost = mvee.costs.dist_handoff_ns
         hist = mvee.obs.registry.histogram("dist_handoff_ns")
         for host, new_owner, key, state in transfers:
             self._pending_adoptions -= 1
@@ -650,20 +667,13 @@ class DistMvee(Supervisor):
         self.solo = self.n == 1
         self.policy = self.config.policy()
         self.replication = dconfig.replication
-        self.external = dconfig.external_service
-        if self.external:
-            if self.policy.level < Level.SOCKET_RW:
-                raise MonitorError(
-                    "external_service needs Level.SOCKET_RW or looser: "
-                    "monitored socket data calls would rendezvous and "
-                    "execute on follower phantom descriptors"
-                )
-            if not self.replication.external:
-                # The policy must route readiness calls through the
-                # replicated lane; flip a fresh default policy rather
-                # than make every caller pass fleet_replication().
-                self.replication.external = True
-                self.replication._memo.clear()
+        self.external = self.replication.external
+        if self.external and self.policy.level < Level.SOCKET_RW:
+            raise MonitorError(
+                "external replication needs Level.SOCKET_RW or looser: "
+                "monitored socket data calls would rendezvous and "
+                "execute on follower phantom descriptors"
+            )
         self.handlers = build_handler_table(self.policy.unmonitored_set())
         self.epoll_map = EpollShadowMap(self.n)
         self.stats = {
@@ -691,16 +701,21 @@ class DistMvee(Supervisor):
         )
         self.nodes: List[Node] = []
         self.monitor = DistMonitor(self)
-        #: Ownership epoch: bumped on every quarantine (never on a clean
-        #: exit), carried in rendezvous frames, and the trigger for the
-        #: shard handoff protocol. 0 for a run's whole fault-free life.
+        #: Set by :meth:`attach_faults`; :meth:`image` hands it on.
+        self.fault_injector = None
+        #: Ownership epoch: bumped when a node leaves (quarantine) or
+        #: rejoins (never on a clean exit), carried in rendezvous frames,
+        #: and the trigger for the shard handoff protocol. 0 for a run's
+        #: whole fault-free life.
         self.epoch = 0
         self.last_epoch_bump_ns = 0
+        #: The live shard-owner cap: the autoscaler moves this, never
+        #: the caller's ``DistConfig.rendezvous_shards``.
+        self.shard_cap = dconfig.rendezvous_shards
         #: Membership version: bumped by every transition that can move
-        #: participants() or shard_owners() (quarantine, promotion,
-        #: breaker degrade/restore, lifecycle rejoin start and frontier,
-        #: an autoscaler shard-count write, process termination). The
-        #: views below are rebuilt only when it has moved.
+        #: participants() or shard_owners() (:meth:`change_membership`,
+        #: promotion, a re-image, process termination). The views below
+        #: are rebuilt only when it has moved.
         self.membership_version = 0
         self._members_at = -1
         self._participants: Tuple[int, ...] = ()
@@ -758,31 +773,15 @@ class DistMvee(Supervisor):
                 aslr=self.config.aslr, dcl=self.config.dcl,
             )
         for index, layout in enumerate(layouts):
-            kernel = self.node_kernel()
-            process = kernel.create_process(
-                "%s.n%d" % (self.program.name, index),
-                mmap_base=layout.mmap_base,
-                brk_base=layout.brk_base,
-                host_ip="10.1.%d.1" % index,
-            )
-            # Nodes do not share caches or DRAM: no cross-replica memory
-            # pressure — one of distribution's selling points.
-            process.compute_factor = 1.0
-            self.group.add(process)
-            node = Node(index, kernel, process, layout, profile=profiles[index])
-            node.view = ReplicaView(process, self.policy, self.epoll_map, index)
-            node.interceptor = DistInterceptor(self, node)
-            kernel.syscall_hooks.append(node.interceptor)
-            node.runtime = GuestRuntime(kernel, process, self.program, layout=layout)
+            node = Node(index, layout, profiles[index])
             self.nodes.append(node)
-            process.exit_event.add_listener(
-                lambda code, n=node: self._on_node_exit(n, code)
-            )
+            self.image(node, "%s.n%d" % (self.program.name, index))
+        self.costs = self.nodes[0].kernel.config.costs
         self.transport = Transport(
             self.sim,
             self.network,
             [(node.host_ip, 0) for node in self.nodes],
-            self.nodes[0].kernel.config.costs,
+            self.costs,
             batch_bytes=dconfig.batch_bytes,
             codec=dconfig.compress,
         )
@@ -792,10 +791,14 @@ class DistMvee(Supervisor):
         if self.network.lossy():
             self._enable_reliable_transport()
 
-    def node_kernel(self) -> Kernel:
-        """A fresh kernel for one node (at build, or when the lifecycle
-        re-images a slot): on the shared clock and switch, with the
-        program's files and the membership bump on process exit."""
+    def image(self, node: Node, name: str) -> None:
+        """(Re-)image ``node``'s slot with process ``name``: a fresh
+        kernel on the shared clock and switch, with the program's files
+        and the fault injector, plus the slot's interceptor, runtime and
+        exit listener. A re-image (repro.lifecycle) also swaps the
+        group's process in place, resets the mirror, marks the node
+        rejoining and replaying, and drops the dead kernel's listeners,
+        which would shadow the replacement's binds with EADDRINUSE."""
         kernel = Kernel(
             sim=self.sim,
             config=KernelConfig(cores=NODE_CORES),
@@ -806,7 +809,39 @@ class DistMvee(Supervisor):
         # Synchronous: an exited process leaves the cached views at the
         # instant ``exited`` flips, before any exit_event listener runs.
         kernel.on_terminate = self.bump_membership
-        return kernel
+        kernel.fault_injector = self.fault_injector
+        process = kernel.create_process(
+            name,
+            mmap_base=node.layout.mmap_base,
+            brk_base=node.layout.brk_base,
+            host_ip="10.1.%d.1" % node.index,
+        )
+        # Nodes do not share caches or DRAM: no cross-replica memory
+        # pressure — one of distribution's selling points.
+        process.compute_factor = 1.0
+        old = node.process
+        if old is None:
+            self.group.add(process)
+        else:
+            self.network.drop_listeners(old.kernel)
+            self.group.processes[node.index] = process
+            process.replica_index = node.index
+            node.mirror = RBMirror(node.index)
+            node.link_degraded = False
+            node.rejoining = node.replaying = True
+            # The slot's process changed under the cached views. No
+            # round is retried: the replacement votes only once its
+            # replay reaches the live frontier (change_membership then).
+            self.bump_membership()
+        node.kernel = kernel
+        node.process = process
+        node.view = ReplicaView(process, self.policy, self.epoll_map, node.index)
+        node.interceptor = DistInterceptor(self, node)
+        kernel.syscall_hooks.append(node.interceptor)
+        node.runtime = GuestRuntime(kernel, process, self.program, layout=node.layout)
+        process.exit_event.add_listener(
+            lambda code, n=node: self._on_node_exit(n, code)
+        )
 
     def _enable_reliable_transport(self) -> None:
         """Switch the monitor transport to sequenced/acked/retransmitted
@@ -822,6 +857,7 @@ class DistMvee(Supervisor):
         """Install a :class:`repro.faults.FaultInjector` cluster-wide:
         timed faults are scheduled on the shared clock; each node's
         kernel consults the injector at its own syscall dispatch."""
+        self.fault_injector = injector
         injector.install(self.nodes[0].kernel)
         for node in self.nodes:
             node.kernel.fault_injector = injector
@@ -835,22 +871,76 @@ class DistMvee(Supervisor):
             self._enable_reliable_transport()
         return injector
 
-    #: Fault-injector compatibility: there is no in-process monitor, so
-    #: RB-corruption faults are skipped cleanly.
-    ipmon = None
+    def degrade_link(self, fault) -> bool:
+        """Apply a ``LinkDegradeFault`` to its directed inter-node link
+        and schedule the restore; False when either end is no node."""
+        if not (0 <= fault.src < self.n and 0 <= fault.dst < self.n):
+            return False
+        src_ip = self.nodes[fault.src].host_ip
+        dst_ip = self.nodes[fault.dst].host_ip
+        snapshot = self.network.set_link_directed(
+            src_ip, dst_ip,
+            latency_ns=fault.latency_ns,
+            loss_prob=fault.loss_prob or None,
+            dup_prob=fault.dup_prob or None,
+            reorder_prob=fault.reorder_prob or None,
+        )
+        self.sim.call_at(
+            self.sim.now + fault.duration_ns,
+            self.network.replace_link_directed, src_ip, dst_ip, snapshot,
+        )
+        return True
+
+    def grant_rejoin(self, index: int) -> None:
+        if self.lifecycle is not None:
+            self.lifecycle.force_rejoin(index)
 
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
     def bump_membership(self, _process=None) -> None:
         """Invalidate the cached membership views (see
-        ``membership_version``). Also the kernels' ``on_terminate``."""
+        ``membership_version``) without retrying any round. Also the
+        kernels' ``on_terminate``."""
         self.membership_version += 1
+
+    def change_membership(self, dead: Optional[int] = None,
+                          rejoined: Optional[int] = None,
+                          shards: Optional[int] = None) -> None:
+        """The one membership transition. It invalidates the cached
+        views; when a node is quarantined (``dead``) or re-admitted
+        (``rejoined``) it opens a new epoch, which the leader announces
+        with the new owner set, and hands the dead shard off or revives
+        the rejoiner's; then it re-tries every open round. ``shards``
+        moves the live shard cap."""
+        if shards is not None:
+            self.shard_cap = shards
+        if rejoined is not None:
+            self.nodes[rejoined].rejoining = False
+        self.bump_membership()
+        if dead is not None or rejoined is not None:
+            self.epoch += 1
+            self.last_epoch_bump_ns = self.sim.now
+            if rejoined is not None and self.dconfig.shard_rendezvous:
+                self.monitor.revive(rejoined)
+            owners = self.shard_owners()
+            leader = self.leader_index
+            announce = Frame(
+                T_SHARD_HANDOFF, leader, 0, 0, aux=self.epoch,
+                payload=owners_payload(owners),
+            )
+            for peer in self.live_peers(leader):
+                self.send_frame(
+                    leader, peer, announce, cls=CLS_HANDOFF, urgent=True
+                )
+            if dead is not None:
+                self.monitor.begin_handoff(dead, owners)
+        self.monitor.on_membership_change()
 
     def _refresh_membership(self) -> None:
         self._members_at = self.membership_version
         self._participants = live = self._compute_participants()
-        cap = self.dconfig.rendezvous_shards
+        cap = self.shard_cap
         if not self.dconfig.shard_rendezvous or not live:
             self._owners = (self.leader_index,)
         else:
@@ -1080,10 +1170,7 @@ class DistMvee(Supervisor):
     def _teardown_delay_ns(self) -> int:
         # Teardown is not instantaneous across machines: the kill
         # messages ride the network.
-        return self.dconfig.link_latency_ns + self._costs().dist_msg_syscall_ns
-
-    def _costs(self):
-        return self.nodes[0].kernel.config.costs
+        return self.dconfig.link_latency_ns + self.costs.dist_msg_syscall_ns
 
     def _wake_everyone(self) -> None:
         for node in self.nodes:
@@ -1104,16 +1191,19 @@ class DistMvee(Supervisor):
             if self.lifecycle is not None and self.lifecycle.detects_crashes():
                 # Gossip is the failure detector: the crashed node's
                 # heartbeats stop, peers suspect it, and the epidemic
-                # dead declaration triggers _handle_crash instead of
+                # dead declaration triggers handle_crash instead of
                 # this leader-side timeout.
                 return
             # Remote crashes are detected by timeout, not by waitpid.
             detect_ns = (
-                self._costs().dist_crash_detect_ns + self.dconfig.link_latency_ns
+                self.costs.dist_crash_detect_ns + self.dconfig.link_latency_ns
             )
-            self.sim.call_at(self.sim.now + detect_ns, self._handle_crash, node, code)
+            self.sim.call_at(self.sim.now + detect_ns, self.handle_crash, node, code)
 
-    def _handle_crash(self, node: Node, code: int) -> None:
+    def handle_crash(self, node: Node, code: int) -> None:
+        """A node's crash was detected (timeout or gossip): hand it to
+        the fault policy. Idempotent, so several detectors converge on
+        one quarantine."""
         if (
             self.shutting_down
             or self.diverged
@@ -1201,14 +1291,13 @@ class DistMvee(Supervisor):
             self.replica_fault(process, report)
             return False
         node.link_degraded = True
-        self.bump_membership()
         self.result.fault_events.append(report)
         if self.obs.tracer.enabled:
             self.obs.tracer.instant(
                 "dist", "link_degrade", src=src, dst=dst, victim=victim,
             )
         # Open rounds may now be completable without the degraded vote.
-        self.monitor.on_membership_change()
+        self.change_membership()
         return True
 
     def _on_link_up(self, src: int, dst: int) -> bool:
@@ -1225,13 +1314,12 @@ class DistMvee(Supervisor):
         if not node.link_degraded:
             return False
         node.link_degraded = False
-        self.bump_membership()
         if self.obs.tracer.enabled:
             self.obs.tracer.instant(
                 "dist", "link_restore", src=src, dst=dst, victim=victim,
             )
         # The restored node's vote is required again from here on.
-        self.monitor.on_membership_change()
+        self.change_membership()
         return True
 
     def _release(self, index: int, was_master: bool,
@@ -1239,10 +1327,7 @@ class DistMvee(Supervisor):
         """Every quarantine opens a new ownership epoch: in-flight frames
         from the old epoch become rejectable, waiting participants
         observe the bump and re-collect rounds the dead shard lost."""
-        self.bump_membership()
-        self.epoch += 1
-        self.last_epoch_bump_ns = self.sim.now
-        self.monitor.begin_handoff(index)
+        self.change_membership(dead=index)
         self._wake_everyone()
         if self.lifecycle is not None:
             self.lifecycle.on_quarantine(index, report)
@@ -1262,6 +1347,9 @@ class DistMvee(Supervisor):
             new_leader = survivors[0]  # kept in index order
         new_index = self.group.index_of(new_leader)
         self.group.master_index = new_index
+        # The leader moved under the cached views. No round is retried
+        # yet: the quarantine's own transition (_release) follows and
+        # hands the dead shard's rounds off under a new epoch first.
         self.bump_membership()
         self.degradation_stats["master_promotions"] += 1
         # The new leader re-broadcasts every result it holds but has not

@@ -34,7 +34,6 @@ from typing import Dict, Optional
 from repro.core.comparator import serialize_args
 from repro.core.events import DivergenceReport
 from repro.dist import selective as sel
-from repro.diversity.profile import make_node_profiles
 from repro.dist.remote_rb import RBMirror, RemoteRecord
 from repro.dist.wire import (
     Frame,
@@ -103,19 +102,14 @@ class ReplicaView:
 class Node:
     """One simulated machine: a kernel, one replica, and mirror state."""
 
-    def __init__(self, index: int, kernel, process, layout, profile=None):
+    def __init__(self, index: int, layout, profile):
         self.index = index
-        self.kernel = kernel
-        self.process = process
         self.layout = layout
-        #: This node's diversity transform (DESIGN.md §13). Omitted, the
-        #: node runs the canonical (homogeneous) profile: shared layout
-        #: family, canonical guest ABI, no canonicalization work.
-        self.profile = (
-            profile
-            if profile is not None
-            else make_node_profiles(index + 1)[index]
-        )
+        #: This node's diversity transform (DESIGN.md §13).
+        self.profile = profile
+        #: Set by ``DistMvee.image``, which (re-)images the slot.
+        self.kernel = None
+        self.process = None
         self.mirror = RBMirror(index)
         #: This node's MonitorShard, once it owns rendezvous rounds
         #: (attached by DistMonitor.shard on first service).

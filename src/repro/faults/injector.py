@@ -313,9 +313,11 @@ class FaultInjector:
         return self
 
     def bind_mvee(self, mvee) -> None:
-        """Called by ReMon._build: gives the injector replica/RB access."""
+        """Called by the front end (a ``Supervisor``) once its replica
+        group exists: the injector resolves every fault target through
+        it."""
         self.mvee = mvee
-        self.obs = getattr(mvee, "obs", None)
+        self.obs = mvee.obs
 
     def _obs_fault(self, kind: str, replica: Optional[int] = None) -> None:
         """Mirror one injected fault into the obs registry (and the
@@ -337,7 +339,7 @@ class FaultInjector:
             return None
         if self.kernel is not None:
             for process in self.kernel.processes.values():
-                if getattr(process, "replica_index", None) == index:
+                if process.replica_index == index:
                     return process
         return None
 
@@ -358,23 +360,21 @@ class FaultInjector:
         if process is None or process.exited:
             self.stats["skipped"] += 1
             return
-        lifecycle = getattr(self.mvee, "lifecycle", None)
-        if lifecycle is not None:
-            lifecycle.force_rejoin(fault.replica)
+        if self.mvee is not None:
+            self.mvee.grant_rejoin(fault.replica)
         self.stats["crashes"] += 1
         self._obs_fault("crash", fault.replica)
         self.kernel.terminate_process(process, 128 + fault.signo, signo=fault.signo)
 
     def _fire_shard_owner_crash(self, fault: ShardOwnerCrashFault) -> None:
         mvee = self.mvee
-        owners = getattr(mvee, "shard_owners", None)
-        if owners is None:  # non-distributed MVEE: no shards to target
+        owners = mvee.shard_owners() if mvee is not None else ()
+        if not owners:  # a front end without shards: nothing to target
             self.stats["skipped"] += 1
             return
-        owners = owners()
         victim = owners[0]
         if fault.prefer_non_leader:
-            leader = mvee.leader_index
+            leader = mvee.group.master_index
             for owner in owners:
                 if owner != leader:
                     victim = owner
@@ -388,28 +388,9 @@ class FaultInjector:
         self.kernel.terminate_process(process, 128 + fault.signo, signo=fault.signo)
 
     def _fire_link_degrade(self, fault: LinkDegradeFault) -> None:
-        mvee = self.mvee
-        nodes = getattr(mvee, "nodes", None)
-        network = getattr(mvee, "network", None)
-        if nodes is None or network is None:
-            self.stats["skipped"] += 1  # non-distributed MVEE: no links
+        if self.mvee is None or not self.mvee.degrade_link(fault):
+            self.stats["skipped"] += 1  # no such inter-node link
             return
-        if not (0 <= fault.src < len(nodes) and 0 <= fault.dst < len(nodes)):
-            self.stats["skipped"] += 1
-            return
-        src_ip = nodes[fault.src].host_ip
-        dst_ip = nodes[fault.dst].host_ip
-        snapshot = network.set_link_directed(
-            src_ip, dst_ip,
-            latency_ns=fault.latency_ns,
-            loss_prob=fault.loss_prob or None,
-            dup_prob=fault.dup_prob or None,
-            reorder_prob=fault.reorder_prob or None,
-        )
-        self.kernel.sim.call_at(
-            self.kernel.sim.now + fault.duration_ns,
-            network.replace_link_directed, src_ip, dst_ip, snapshot,
-        )
         self.stats["link_degrades"] += 1
         self._obs_fault("link_degrade", fault.src)
 
@@ -444,10 +425,9 @@ class FaultInjector:
         self._obs_fault("rb_corruption")
 
     def _find_pending_record(self, fault: RBCorruptionFault):
-        mvee = self.mvee
-        if mvee is None or mvee.ipmon is None:
+        if self.mvee is None:
             return None
-        lanes = mvee.ipmon.rb.lanes
+        lanes = self.mvee.rb_lanes()
         candidates = (
             [lanes[fault.lane_vtid]]
             if fault.lane_vtid is not None and fault.lane_vtid in lanes
@@ -470,7 +450,7 @@ class FaultInjector:
         process, or ("stall", duration_ns) — the kernel sleeps and
         re-checks liveness.
         """
-        index = getattr(thread.process, "replica_index", None)
+        index = thread.process.replica_index
         if index is None:
             return None
         count = self._dispatches.get(index, 0) + 1
@@ -506,7 +486,7 @@ class FaultInjector:
         """Returns a positive errno to force ``-errno``, else None."""
         if not self._error_state:
             return None
-        index = getattr(thread.process, "replica_index", None)
+        index = thread.process.replica_index
         if index is None:
             return None
         for state in self._error_state:
@@ -529,7 +509,7 @@ class FaultInjector:
         """True if the token just issued for this call should be lost."""
         if not self._token_state:
             return False
-        index = getattr(thread.process, "replica_index", None)
+        index = thread.process.replica_index
         if index is None:
             return False
         for state in self._token_state:

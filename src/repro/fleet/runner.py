@@ -100,7 +100,6 @@ def run_fleet(config: FleetConfig) -> FleetResult:
     """Build the cluster + client world, run it to completion."""
     spec = SERVERS[config.server]
     dconfig = DistConfig(
-        external_service=True,
         link_latency_ns=config.link_latency_ns,
         replication=fleet_replication(full=config.replication == "full"),
     )

@@ -493,6 +493,3 @@ class AddressSpace:
                 return False
             cursor = mapping.end
         return True
-
-    def total_mapped(self) -> int:
-        return sum(m.length for m in self._mappings)

@@ -129,6 +129,8 @@ class Process:
         #: Set by the MVEE when this replica is removed from the group as
         #: a benign fault (degraded mode) — its death is then expected.
         self.quarantined = False
+        #: This replica's index in its MVEE's group (None outside one).
+        self.replica_index: Optional[int] = None
         #: Multiplier on guest ``Compute`` time (memory-pressure model;
         #: the MVEE front ends set it per replica).
         self.compute_factor = 1.0
@@ -147,9 +149,6 @@ class Process:
 
     def live_threads(self):
         return [t for t in self.threads.values() if not t.exited]
-
-    def main_thread(self) -> "Thread":
-        return self.threads[min(self.threads)]
 
     def __repr__(self):
         return "Process(pid=%d, %s)" % (self.pid, self.name)

@@ -267,6 +267,14 @@ class Network:
         self.listeners[key] = sock
         return 0
 
+    def drop_listeners(self, kernel) -> None:
+        """Forget every listener ``kernel`` bound (its host was
+        re-imaged and lost its TCP state)."""
+        stale = [key for key, sock in self.listeners.items()
+                 if sock.kernel is kernel]
+        for key in stale:
+            del self.listeners[key]
+
     def lookup(self, addr: Address) -> Optional["ListeningSocket"]:
         exact = self.listeners.get(addr)
         if exact is not None:

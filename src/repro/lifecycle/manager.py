@@ -32,10 +32,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.events import DivergenceReport
-from repro.dist.node import DistInterceptor, ReplicaView
-from repro.dist.remote_rb import RBMirror
-from repro.dist.selective import CLS_HANDOFF, CLS_LIFECYCLE
-from repro.dist.shard import MonitorShard
+from repro.dist.selective import CLS_LIFECYCLE
 from repro.dist.wire import (
     Frame,
     GOSSIP_SUSPECT,
@@ -43,14 +40,11 @@ from repro.dist.wire import (
     STATE_VERDICT,
     T_LIFECYCLE_GOSSIP,
     T_LIFECYCLE_STATE,
-    T_SHARD_HANDOFF,
     digest_payload,
     gossip_payload,
-    owners_payload,
     parse_gossip_payload,
     state_payload,
 )
-from repro.guest.runtime import GuestRuntime
 from repro.lifecycle.autoscale import DriftWatchdog
 from repro.lifecycle.config import LifecycleConfig
 from repro.lifecycle.window import RECORD, ReplayWindow
@@ -127,7 +121,7 @@ class LifecycleManager:
     def provision_ns(self) -> int:
         if self.config.provision_ns is not None:
             return self.config.provision_ns
-        return self.mvee._costs().lifecycle_provision_ns
+        return self.mvee.costs.lifecycle_provision_ns
 
     def _halted(self) -> bool:
         mvee = self.mvee
@@ -169,9 +163,7 @@ class LifecycleManager:
                 mvee.send_frame(index, dst, frame, cls=CLS_LIFECYCLE)
                 self.stats["gossip_frames"] += 1
             self.stats["beats_sent"] += 1
-            self.stats["heartbeat_cpu_ns"] += (
-                mvee._costs().lifecycle_heartbeat_ns
-            )
+            self.stats["heartbeat_cpu_ns"] += mvee.costs.lifecycle_heartbeat_ns
         self.sim.call_at(
             self.sim.now + self.config.heartbeat_interval_ns,
             self._beat, index,
@@ -193,10 +185,10 @@ class LifecycleManager:
             return
         code = process.exit_code or 0
         if process.exited and code >= 128:
-            # The cluster-level detection event; _handle_crash is
-            # idempotent, so N observers converge on one quarantine.
+            # The cluster-level detection event; N observers converge
+            # on one quarantine.
             self.stats["gossip_detections"] += 1
-            mvee._handle_crash(node, code)
+            mvee.handle_crash(node, code)
         elif not process.exited:
             # A live process was gossiped dead (lost beats): refute
             # locally rather than quarantine on rumour alone.
@@ -268,49 +260,9 @@ class LifecycleManager:
             return
         mvee = self.mvee
         node = mvee.nodes[index]
-        old_kernel = node.kernel
-        # Re-imaging wipes the node's TCP state: listeners the dead
-        # kernel registered in the shared network would otherwise shadow
-        # the replacement's binds with EADDRINUSE during replay.
-        network = mvee.network
-        if network is not None:
-            stale = [key for key, sock in network.listeners.items()
-                     if sock.kernel is old_kernel]
-            for key in stale:
-                del network.listeners[key]
-        kernel = mvee.node_kernel()
-        process = kernel.create_process(
-            "%s.n%d.r%d" % (
-                mvee.program.name, index, self.stats["rejoins_scheduled"],
-            ),
-            mmap_base=node.layout.mmap_base,
-            brk_base=node.layout.brk_base,
-            host_ip="10.1.%d.1" % index,
-        )
-        process.compute_factor = 1.0
-        injector = getattr(old_kernel, "fault_injector", None)
-        if injector is not None:
-            kernel.fault_injector = injector
-        # Swap the slot: the group keeps its width, replica_index is
-        # pinned (ReplicaGroup.add would append).
-        mvee.group.processes[index] = process
-        process.replica_index = index
-        node.kernel = kernel
-        node.process = process
-        node.mirror = RBMirror(index)
-        node.link_degraded = False
-        node.rejoining = True
-        mvee.bump_membership()
-        node.replaying = True
-        node.view = ReplicaView(process, mvee.policy, mvee.epoll_map, index)
-        node.interceptor = DistInterceptor(mvee, node)
-        kernel.syscall_hooks.append(node.interceptor)
-        node.runtime = GuestRuntime(
-            kernel, process, mvee.program, layout=node.layout
-        )
-        process.exit_event.add_listener(
-            lambda code, n=node: mvee._on_node_exit(n, code)
-        )
+        mvee.image(node, "%s.n%d.r%d" % (
+            mvee.program.name, index, self.stats["rejoins_scheduled"],
+        ))
         if self.gossip_on:
             # The replacement outlives its own obituary by announcing a
             # bumped incarnation; peers revive the slot on merge. Its
@@ -386,21 +338,11 @@ class LifecycleManager:
             return
         mvee = self.mvee
         now = self.sim.now
-        node.rejoining = False
-        mvee.bump_membership()
         # Every re-admission opens a new ownership epoch, exactly like
         # the quarantine that vacated the slot: in-flight old-epoch
         # frames become rejectable and waiting participants re-collect
         # against the new owner set (which the rejoiner re-enters).
-        mvee.epoch += 1
-        mvee.last_epoch_bump_ns = now
-        if mvee.dconfig.shard_rendezvous:
-            dead = mvee.monitor._shards.get(node.index)
-            if dead is not None and dead.dead:
-                fresh = MonitorShard(node.index)
-                fresh.rounds = dead.rounds
-                mvee.monitor._shards[node.index] = fresh
-                node.shard = fresh
+        mvee.change_membership(rejoined=node.index)
         info = self._rejoins.get(node.index) or {}
         info["pending"] = False
         self.stats["rejoins_completed"] += 1
@@ -413,20 +355,10 @@ class LifecycleManager:
             registry.histogram("lifecycle_replay_lag_ns").observe(
                 now - info["replay_start_ns"]
             )
-        # Announce the bumped epoch + owner set to the survivors (the
-        # physical bytes of the membership change, like a handoff).
-        leader = mvee.leader_index
-        announce = Frame(
-            T_SHARD_HANDOFF, leader, 0, 0, aux=mvee.epoch,
-            payload=owners_payload(mvee.shard_owners()),
-        )
-        for peer in mvee.live_peers(leader):
-            mvee.send_frame(leader, peer, announce, cls=CLS_HANDOFF, urgent=True)
         if mvee.obs.tracer.enabled:
             mvee.obs.tracer.instant(
                 "lifecycle", "rejoin", node=node.index, epoch=mvee.epoch,
             )
-        mvee.monitor.on_membership_change()
 
     # ------------------------------------------------------------------
     # Drift watchdog + auto-scaling
@@ -436,49 +368,29 @@ class LifecycleManager:
             return
         mvee = self.mvee
         config = self.config
-        dconfig = mvee.dconfig
         decision = self.watchdog.observe_histograms(
             mvee.obs.registry.histograms
         )
-        if (
-            decision
-            and dconfig.shard_rendezvous
-            and dconfig.rendezvous_shards is not None
-        ):
-            shards = dconfig.rendezvous_shards
+        shards = mvee.shard_cap
+        if decision and mvee.dconfig.shard_rendezvous and shards is not None:
+            # Clean membership change: HRW remaps ~1/N of new rounds,
+            # open rounds stay addressable via their hosting shard, and
+            # no epoch bump is needed.
             if decision > 0 and shards < config.max_shards:
-                # Clean membership change: HRW remaps ~1/N of new rounds,
-                # open rounds stay addressable via their hosting shard,
-                # and no epoch bump is needed.
-                dconfig.rendezvous_shards = shards + 1
-                mvee.bump_membership()
+                mvee.change_membership(shards=shards + 1)
                 self.stats["scale_ups"] += 1
-                mvee.monitor.on_membership_change()
                 if mvee.obs.tracer.enabled:
                     mvee.obs.tracer.instant(
                         "lifecycle", "scale_up", shards=shards + 1,
                     )
             elif decision < 0 and shards > config.min_shards:
-                dconfig.rendezvous_shards = shards - 1
-                mvee.bump_membership()
+                mvee.change_membership(shards=shards - 1)
                 self.stats["scale_downs"] += 1
-                mvee.monitor.on_membership_change()
                 if mvee.obs.tracer.enabled:
                     mvee.obs.tracer.instant(
                         "lifecycle", "scale_down", shards=shards - 1,
                     )
-        participants = mvee.participants()
-        open_rounds = {}
-        for shard in mvee.monitor._shards.values():
-            if shard.dead:
-                continue
-            for key, state in shard.open_rounds():
-                missing = tuple(
-                    p for p in participants if p not in state.digests
-                )
-                if missing:
-                    open_rounds[key] = missing
-        blame = self.watchdog.observe_rounds(open_rounds)
+        blame = self.watchdog.observe_rounds(mvee.monitor.missing_votes())
         if blame is not None and config.proactive_quarantine:
             node = mvee.nodes[blame]
             process = node.process

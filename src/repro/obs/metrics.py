@@ -50,9 +50,6 @@ class Gauge:
     def inc(self, amount=1) -> None:
         self.value += amount
 
-    def dec(self, amount=1) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Fixed-bucket histogram over virtual nanoseconds.

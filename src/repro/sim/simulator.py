@@ -249,17 +249,11 @@ class Simulator:
         waiters = event._waiters
         if waiters:
             event._waiters = []
-            if len(waiters) == 1:
-                task, epoch = waiters[0]
-                if task._wait_epoch == epoch and not task.done:
-                    self._schedule(
-                        self.now, (self._step, (task, (True, value), None))
-                    )
-            else:
-                # Rendezvous storm: one drain entry releases all N
-                # waiters in their original seq order instead of N
-                # separate queue entries.
-                self._schedule(self.now, _EventDrain(waiters, value))
+            # One drain entry releases every waiter in its original seq
+            # order, and checks each waiter's epoch when it runs: a
+            # same-instant timeout that resumed the task first must not
+            # let this wake reach the task's next wait.
+            self._schedule(self.now, _EventDrain(waiters, value))
         listeners = event._listeners
         if listeners is not None:
             event._listeners = None

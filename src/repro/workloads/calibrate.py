@@ -45,9 +45,6 @@ class Calibration:
     t_mon_ns: float
     t_ipmon_ns: float
 
-    def monitored_overhead_at_rate(self, calls_per_sec: float) -> float:
-        return calls_per_sec * self.t_mon_ns / 1e9
-
     def __repr__(self):
         return "Calibration(native=%.0f ns, mon=+%.0f ns, ipmon=+%.0f ns)" % (
             self.t_native_ns,

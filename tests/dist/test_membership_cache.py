@@ -53,7 +53,7 @@ def reference_owners(mvee):
     live = reference_participants(mvee)
     if not mvee.dconfig.shard_rendezvous or not live:
         return (mvee.leader_index,)
-    cap = mvee.dconfig.rendezvous_shards
+    cap = mvee.shard_cap
     return live if cap is None else live[:max(1, cap)]
 
 
@@ -223,3 +223,28 @@ def test_staggered_clean_exits(checked):
     assert [index for _, index in exits] == [0, 1, 2, 3]
     assert len({when for when, _ in exits}) == 4
     _assert_checked(checked, mvee)
+
+
+def test_reused_config_repeats_the_run():
+    """The autoscaler moves the live shard cap, never the caller's
+    config: running one config twice gives the same run twice."""
+    lifecycle = LifecycleConfig(
+        seed=7, gossip=False, autoscale=True, watch_interval_ns=100_000,
+        drift_factor=1.01, drift_windows=1, min_shards=1, max_shards=4,
+    )
+    dconfig = DistConfig(
+        link_latency_ns=100_000, shard_rendezvous=True, rendezvous_shards=2,
+        lifecycle=lifecycle,
+    )
+    config = ReMonConfig(
+        replicas=4, level=Level.NO_IPMON, seed=3, dist=dconfig,
+    )
+    before = [dict(vars(part)) for part in (config, dconfig, lifecycle)]
+    program = build_program(_workload(threads=4, native_ms=1.5))
+    first = DistMvee(program, config).run(max_steps=MAX_STEPS)
+    assert [vars(part) for part in (config, dconfig, lifecycle)] == before
+    second = DistMvee(program, config).run(max_steps=MAX_STEPS)
+    assert first.stats["lifecycle_scale_downs"] >= 1
+    assert first.stats == second.stats
+    assert first.exit_codes == second.exit_codes == [0] * 4
+    assert dconfig.rendezvous_shards == 2

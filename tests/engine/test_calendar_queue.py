@@ -358,3 +358,25 @@ class TestBatchEventDrain:
         assert len(wakeups) == 3
         assert wakeups[-2] == (100, "other", True)
         assert wakeups[-1] == (1_100, "alive")
+
+    def test_lone_waiter_timed_out_first_keeps_its_next_wait(self):
+        """A single waiter resumed by its same-instant timeout before the
+        fire's wake runs must not receive that wake in its next wait."""
+        sim = Simulator()
+        gate = Event("gate")
+        other = Event("other")
+        seen = []
+
+        def firer():
+            yield Sleep(100)  # exactly the waiter's timeout instant
+            sim.fire(gate, "late")
+
+        def waiter():
+            seen.append((yield WaitEvent(gate, timeout_ns=100)))
+            seen.append((yield WaitEvent(other)))
+
+        sim.spawn(firer(), "f")
+        sim.spawn(waiter(), "w")
+        sim.run()
+        # ``other`` never fires: the task stays parked on it.
+        assert seen == [(False, None)]

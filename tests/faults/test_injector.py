@@ -4,10 +4,14 @@ import pytest
 
 from repro.core import DegradationPolicy, Level, ReMon, ReMonConfig
 from repro.errors import FaultConfigError
+from repro.dist import DistConfig, DistMvee
 from repro.faults import (
     CrashFault,
     FaultInjector,
     FaultPlan,
+    LinkDegradeFault,
+    RBCorruptionFault,
+    ShardOwnerCrashFault,
     StallFault,
     SyscallErrorFault,
     TokenLossFault,
@@ -202,3 +206,36 @@ class TestStatsPlumbing:
         assert injector.total_injected == 0
         assert result.stats["faults_injected"] == 0
         assert not result.diverged
+
+
+class TestFaultsWithoutATarget:
+    """A fault the front end has no target for counts as skipped and
+    leaves the run alone."""
+
+    @pytest.mark.parametrize("fault", [
+        ShardOwnerCrashFault(at_ns=50_000),
+        LinkDegradeFault(at_ns=50_000, src=0, dst=1, duration_ns=100_000,
+                         loss_prob=1.0),
+    ], ids=["shard-owner-crash", "link-degrade"])
+    def test_single_host_remon_has_no_shards_or_links(self, fault):
+        _k, _m, result, injector = run_mvee(
+            chatty_program(compute_ns=10_000, exit_code=0),
+            plan=FaultPlan([fault]), level=Level.NO_IPMON,
+        )
+        assert injector.stats["skipped"] == 1
+        assert injector.total_injected == 0
+        assert result.exit_codes == [0, 0] and not result.diverged
+
+    def test_dist_mvee_has_no_in_process_rb(self):
+        mvee = DistMvee(
+            chatty_program(compute_ns=10_000, exit_code=0),
+            ReMonConfig(replicas=2, level=Level.NONSOCKET_RW,
+                        dist=DistConfig()),
+        )
+        injector = mvee.attach_faults(
+            FaultInjector(FaultPlan([RBCorruptionFault(at_ns=50_000)]))
+        )
+        result = mvee.run(max_steps=40_000_000)
+        assert injector.stats["skipped"] == 1
+        assert injector.total_injected == 0
+        assert result.exit_codes == [0, 0] and not result.diverged

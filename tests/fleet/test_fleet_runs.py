@@ -103,9 +103,7 @@ def test_three_node_full_replication_ships_more_bytes():
 
 def test_external_service_requires_socket_rw():
     spec = SERVERS["redis"]
-    dconfig = DistConfig(
-        external_service=True, replication=fleet_replication()
-    )
+    dconfig = DistConfig(replication=fleet_replication())
     with pytest.raises(MonitorError):
         DistMvee(
             spec.program(),
