@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from repro.core.comparator import serialize_args
 from repro.core.epoll_map import EpollShadowMap
 from repro.core.events import DivergenceReport, MveeResult
-from repro.core.handlers import build_handler_table
+from repro.core.handlers import ReplicaView, build_handler_table
 from repro.core.ghumvee import ALLEXEC_NAMES, FD_CREATE_NAMES, _install_shadow_fd
 from repro.diversity.aslr import make_layouts
 from repro.guest.runtime import GuestRuntime
@@ -102,17 +102,6 @@ class RingLane:
         while self.events and base < floor:
             self.events.popleft()
             base += 1
-
-
-class _AgentView:
-    """Minimal view object satisfying the IpmonHandler interface."""
-
-    def __init__(self, space, epoll_map, replica_index):
-        self.space = space
-        self.epoll_map = epoll_map
-        self.replica_index = replica_index
-        self.policy = None
-        self.filemap = None
 
 
 class Varan:
@@ -203,12 +192,12 @@ class Varan:
         self.stats["events"] += 1
         yield Sleep(costs.rb_write_base_ns + costs.rb_copy_ns(len(blob)), cpu=True)
         handler = self.handlers.get(req.name)
-        if handler is not None and hasattr(handler, "observe"):
-            handler.observe(_AgentView(thread.process.space, self.epoll_map, 0), req)
+        view = ReplicaView(thread.process.space, self.epoll_map, 0)
+        if handler is not None:
+            handler.observe(view, req)
         result = yield from kernel.invoke(thread, req)
         ring_event.result = result
         if req.name not in ALLEXEC_NAMES and handler is not None:
-            view = _AgentView(thread.process.space, self.epoll_map, 0)
             ring_event.payload = handler.collect_results(view, req, result)
         ring_event.done = True
         ring_event.doneq.notify_all(kernel.sim)
@@ -257,9 +246,8 @@ class Varan:
         result = ring_event.result
         handler = self.handlers.get(req.name)
         if handler is not None:
-            view = _AgentView(thread.process.space, self.epoll_map, index)
-            if hasattr(handler, "observe"):
-                handler.observe(view, req)
+            view = ReplicaView(thread.process.space, self.epoll_map, index)
+            handler.observe(view, req)
             handler.apply_results(view, req, result, ring_event.payload)
             yield Sleep(
                 costs.rb_read_base_ns + costs.rb_copy_ns(len(ring_event.payload)),

@@ -27,18 +27,10 @@ from typing import Dict, List, Optional
 
 from repro.core.comparator import compare_requests
 from repro.core.events import DivergenceReport
-from repro.core.handlers import IpmonHandler
+from repro.core.handlers import ReplicaView, handler_for
 from repro.kernel import constants as C
 from repro.kernel import errno_codes as E
 from repro.kernel.memory import MemoryFault
-from repro.kernel.specs import spec_for
-from repro.kernel.structs import (
-    EPOLL_EVENT_SIZE,
-    POLLFD_SIZE,
-    pack_epoll_event,
-    read_iovecs,
-    unpack_epoll_event,
-)
 from repro.kernel.vfs import FileObject, OpenFileDescription
 from repro.ptrace.api import Stop, Tracer
 from repro.sim import Event, Sleep, WaitEvent
@@ -93,6 +85,15 @@ FD_CREATE_NAMES = frozenset(
 SHM_NAMES = frozenset({"shmget", "shmat", "shmdt", "shmctl"})
 
 _READ_FAMILY = frozenset({"read", "readv", "pread64", "preadv"})
+
+
+def _scrub_maps(content: bytes) -> bytes:
+    """/proc/<pid>/maps content without IP-MON's hidden mappings (§3.1)."""
+    return b"\n".join(
+        line
+        for line in content.split(b"\n")
+        if b"[ipmon-rb]" not in line and b"[ipmon-filemap]" not in line
+    )
 
 
 class ShadowFile(FileObject):
@@ -349,11 +350,13 @@ class LockstepContext:
         if temporal is not None:
             temporal.record_approval(reqs[0], ghumvee.kernel.sim.now)
 
-        # epoll bookkeeping (§3.9): record every replica's own data value
-        # so monitored epoll_wait results can be translated per replica.
-        if name == "epoll_ctl":
-            for index, stop in self.entry_stops.items():
-                self._record_epoll_ctl(stop.thread.process.space, stop.req, index)
+        # Replica-local bookkeeping, e.g. epoll_ctl records every
+        # replica's own data value so monitored epoll_wait results can be
+        # translated per replica (§3.9).
+        handler = handler_for(name)
+        views = ghumvee.views
+        for index, stop in self.entry_stops.items():
+            handler.observe(views[index], stop.req)
 
         # Deliver deferred signals now: every replica is parked at an
         # equivalent state (§2.2).
@@ -412,22 +415,6 @@ class LockstepContext:
             if index != master_index:
                 ghumvee.tracer.skip_call(stop.thread, 0)
         self._release_entry(stops)
-
-    def _record_epoll_ctl(self, space, req, replica_index: int) -> None:
-        ghumvee = self.ghumvee
-        op, fd, epfd = req.arg(1), req.arg(2), req.arg(0)
-        if op == C.EPOLL_CTL_DEL:
-            ghumvee.epoll_map.record_ctl_del(epfd, fd, replica_index)
-            return
-        addr = req.arg(3)
-        if not addr:
-            return
-        try:
-            raw = space.read(addr, EPOLL_EVENT_SIZE)
-        except MemoryFault:
-            return
-        _events, data = unpack_epoll_event(raw)
-        ghumvee.epoll_map.record_ctl_add(epfd, fd, replica_index, data)
 
     def _release_entry(self, stops) -> None:
         self.entry_stops = {}
@@ -526,12 +513,14 @@ class LockstepContext:
 
         replicated = 0
         if isinstance(result, int) and result >= 0 and req is not None:
-            replicated = yield from self._replicate_outputs(req, result, slave_stops)
+            replicated = yield from self._replicate_outputs(
+                req, result, master_stop, slave_stops
+            )
         if self.call_class == "fdcreate" and isinstance(result, int) and result >= 0:
             self._install_shadows(req, result, slave_stops)
         # getters & time: consistent results from the master for all.
         for stop in slave_stops:
-            stop.final_result = result
+            stop.final_result = master_stop.final_result
         ghumvee.stats["bytes_replicated"] += replicated
         self._finish_common([master_stop] + slave_stops)
 
@@ -546,180 +535,38 @@ class LockstepContext:
             self.ghumvee.tracer.resume(stop.thread, final_result=stop.final_result)
 
     # -- output replication ---------------------------------------------------
-    def _replicate_outputs(self, master_req, result: int, slave_stops):
+    def _replicate_outputs(self, master_req, result: int, master_stop, slave_stops):
+        """Copy the master's return value and out-buffers into every
+        slave through the shared handler; returns the bytes written."""
         ghumvee = self.ghumvee
-        costs = ghumvee.costs
-        spec = spec_for(master_req.name)
-        if spec is None or not slave_stops:
+        handler = handler_for(master_req.name)
+        if handler.spec is None or not slave_stops:
             return 0
-        master_space = ghumvee.group.master().space
+        costs = ghumvee.costs
         name = master_req.name
-        replicated = 0
-
-        # Special case: epoll_wait needs per-replica data translation.
-        if name == "epoll_wait" and result > 0:
-            replicated = self._replicate_epoll(master_req, result, slave_stops)
-            yield Sleep(costs.replicate_cost_ns(replicated), cpu=True)
-            return replicated
-
-        # Special case: poll rewrites the pollfd array in place.
-        if name == "poll":
-            replicated = self._replicate_pollfds(master_req, slave_stops)
-            yield Sleep(costs.replicate_cost_ns(replicated), cpu=True)
-            return replicated
-
-        for index in spec.out_buffers():
-            arg_spec = spec.args[index]
-            master_addr = master_req.arg(index)
-            if not master_addr:
-                continue
-            data = self._read_master_out(
-                master_space, master_req, arg_spec, index, result
-            )
-            if data is None:
-                continue
+        views = ghumvee.views
+        master_view = views[ghumvee.group.master_index]
+        payload = handler.collect_results(master_view, master_req, result)
+        if name in _READ_FAMILY and ghumvee.fd_is_special(master_req.arg(0)):
             # /proc/<pid>/maps filtering (§3.1): scrub IP-MON mappings
             # before any replica-visible copy.
-            if name in _READ_FAMILY and ghumvee.fd_is_special(master_req.arg(0)):
-                data, result = ghumvee.filter_special_read(
-                    master_space, master_addr, data, result
-                )
-                for stop in slave_stops:
-                    stop.final_result = result
-                self.exit_stops[ghumvee.group.master_index].final_result = result
+            payload, result = handler.rewrite_output(
+                master_view, master_req, result, payload, _scrub_maps
+            )
+            master_stop.final_result = result
+        replicated = 0
+        if payload:
+            active_reqs = self.active_reqs
             for stop in slave_stops:
-                slave_req = self.active_reqs.get(
-                    stop.thread.process.replica_index, master_req
+                index = stop.thread.process.replica_index
+                replicated += handler.apply_results(
+                    views[index], active_reqs.get(index, master_req), result, payload
                 )
-                slave_addr = slave_req.arg(index)
-                if not slave_addr:
-                    continue
-                try:
-                    if arg_spec.kind == "iovec_out":
-                        self._scatter_iovec(
-                            stop.thread.process.space, slave_req, arg_spec, index, data
-                        )
-                    else:
-                        stop.thread.process.space.write(
-                            slave_addr, data, check_prot=False
-                        )
-                except MemoryFault:
-                    continue
-                replicated += len(data)
-        yield Sleep(
-            costs.replicate_cost_ns(replicated)
-            + len(slave_stops) * costs.ptrace_poke_ns,
-            cpu=True,
-        )
-        return replicated
-
-    def _read_master_out(self, space, req, arg_spec, index, result):
-        helper = IpmonHandler(req.name)
-        valid = helper._valid_length(arg_spec, req.args, result)
-        if valid <= 0:
-            return b""
-        try:
-            if arg_spec.kind == "iovec_out":
-                count = int(req.args[arg_spec.count_arg])
-                iovecs = read_iovecs(space, req.arg(index), count)
-                out = bytearray()
-                remaining = result
-                for base, length in iovecs:
-                    if remaining <= 0:
-                        break
-                    take = min(length, remaining)
-                    out += space.read(base, take, check_prot=False)
-                    remaining -= take
-                return bytes(out)
-            return space.read(req.arg(index), valid, check_prot=False)
-        except MemoryFault:
-            return None
-
-    def _scatter_iovec(self, space, req, arg_spec, index: int, data: bytes) -> None:
-        count = int(req.args[arg_spec.count_arg])
-        iovecs = read_iovecs(space, req.arg(index), count)
-        cursor = 0
-        for base, length in iovecs:
-            if cursor >= len(data):
-                break
-            chunk = data[cursor : cursor + length]
-            space.write(base, chunk, check_prot=False)
-            cursor += len(chunk)
-
-    def _replicate_pollfds(self, master_req, slave_stops) -> int:
-        master_space = self.ghumvee.group.master().space
-        nfds = master_req.arg(1)
-        if not master_req.arg(0) or nfds <= 0:
-            return 0
-        try:
-            raw = master_space.read(
-                master_req.arg(0), nfds * POLLFD_SIZE, check_prot=False
-            )
-        except MemoryFault:
-            return 0
-        replicated = 0
-        for stop in slave_stops:
-            slave_req = self.active_reqs.get(
-                stop.thread.process.replica_index, master_req
-            )
-            if not slave_req.arg(0):
-                continue
-            try:
-                stop.thread.process.space.write(
-                    slave_req.arg(0), raw, check_prot=False
-                )
-                replicated += len(raw)
-            except MemoryFault:
-                continue
-        return replicated
-
-    def _replicate_epoll(self, master_req, result: int, slave_stops) -> int:
-        ghumvee = self.ghumvee
-        master_space = ghumvee.group.master().space
-        epfd = master_req.arg(0)
-        try:
-            raw = master_space.read(
-                master_req.arg(1), result * EPOLL_EVENT_SIZE, check_prot=False
-            )
-        except MemoryFault:
-            return 0
-        events = [
-            unpack_epoll_event(raw[i * EPOLL_EVENT_SIZE : (i + 1) * EPOLL_EVENT_SIZE])
-            for i in range(result)
-        ]
-        neutral = ghumvee.epoll_map.neutralize_events(epfd, events)
-        replicated = 0
-        # The master's own buffer holds whatever data values the kernel
-        # echoed — after a promotion those are the dead master's tags, so
-        # localize them for the current master as well (identity rewrite
-        # when no promotion has happened).
-        master_index = ghumvee.group.master_index
-        master_localized = ghumvee.epoll_map.localize_events(
-            epfd, neutral, master_index
-        )
-        for pos, (revents, data) in enumerate(master_localized):
-            try:
-                master_space.write(
-                    master_req.arg(1) + pos * EPOLL_EVENT_SIZE,
-                    pack_epoll_event(revents, data),
-                    check_prot=False,
-                )
-            except MemoryFault:
-                break
-        for stop in slave_stops:
-            index = stop.thread.process.replica_index
-            slave_req = self.active_reqs.get(index, master_req)
-            localized = ghumvee.epoll_map.localize_events(epfd, neutral, index)
-            for pos, (revents, data) in enumerate(localized):
-                try:
-                    stop.thread.process.space.write(
-                        slave_req.arg(1) + pos * EPOLL_EVENT_SIZE,
-                        pack_epoll_event(revents, data),
-                        check_prot=False,
-                    )
-                    replicated += EPOLL_EVENT_SIZE
-                except MemoryFault:
-                    break
+        cost = costs.replicate_cost_ns(replicated)
+        # poll and a non-empty epoll_wait rewrite one array in place.
+        if name != "poll" and (name != "epoll_wait" or result <= 0):
+            cost += len(slave_stops) * costs.ptrace_poke_ns
+        yield Sleep(cost, cpu=True)
         return replicated
 
     # -- shadow descriptors -----------------------------------------------------
@@ -748,12 +595,7 @@ class LockstepContext:
             # §3.1: scrub IP-MON's hidden mappings from the snapshot the
             # replica is about to read.
             node = entry.ofd.file
-            content = node.content()
-            node.snapshot = b"\n".join(
-                line
-                for line in content.split(b"\n")
-                if b"[ipmon-rb]" not in line and b"[ipmon-filemap]" not in line
-            )
+            node.snapshot = _scrub_maps(node.content())
         ghumvee.fd_metadata.record_open(fd, kind, nonblocking, special)
         for stop in slave_stops:
             _install_shadow_fd(stop.thread.process, fd, kind)
@@ -845,6 +687,11 @@ class Ghumvee:
         self.tracer.exit_handler = self._on_exit
         self.fd_metadata = remon.fd_metadata
         self.epoll_map = remon.epoll_map
+        #: Each replica as the shared handlers see it, by replica index.
+        self.views = [
+            ReplicaView(process.space, self.epoll_map, index)
+            for index, process in enumerate(self.group.processes)
+        ]
         self.allow_shared_memory = remon.config.allow_shared_memory
         self.contexts: Dict[int, LockstepContext] = {}
         self.pending_signals: List[int] = []
@@ -976,21 +823,3 @@ class Ghumvee:
     def fd_is_special(self, fd: int) -> bool:
         info = self.fd_metadata.info(fd)
         return bool(info and (info.special or info.kind == "special"))
-
-    def filter_special_read(self, master_space, addr: int, data: bytes, result: int):
-        """Scrub IP-MON's hidden mappings out of /proc/*/maps content."""
-        lines = data.split(b"\n")
-        kept = [
-            line
-            for line in lines
-            if b"[ipmon-rb]" not in line and b"[ipmon-filemap]" not in line
-        ]
-        filtered = b"\n".join(kept)
-        if filtered != data:
-            try:
-                master_space.write(addr, filtered + b"\x00" * (len(data) - len(filtered)),
-                                   check_prot=False)
-            except MemoryFault:
-                pass
-            return filtered, len(filtered)
-        return data, result

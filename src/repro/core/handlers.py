@@ -1,7 +1,14 @@
-"""IP-MON's per-syscall replication handlers (paper §3.3, Listing 1).
+"""Per-syscall replication handlers (paper §3.3, Listing 1).
 
-Every unmonitored-capable syscall gets a handler with the paper's four
-phases:
+This is the only module that knows how a call's out-buffers are read
+from the master, encoded, and written into a replica. IP-MON ships the
+encoded ``(result, out-buffers)`` record through the RB, GHUMVEE copies
+it over ptrace for monitored master calls, the distributed mirror ships
+it between nodes, and the VARAN baseline through its event ring; all
+four go through one handler per syscall (:func:`handler_for`) and one
+view type (:class:`ReplicaView`, or IP-MON's own ``IpmonReplica``).
+
+Every syscall gets a handler with the paper's four phases:
 
 * ``maybe_checked`` — should this particular invocation be forced back
   to GHUMVEE under the active conditional policy? (consults the file
@@ -10,7 +17,10 @@ phases:
 * ``precall``-equivalents — argument serialization (shared with the
   comparator) and the call disposition (MASTERCALL vs. execute-in-all);
 * ``postcall`` — collecting the master's results into the RB and
-  applying them in the slaves.
+  applying them in the slaves;
+
+plus ``observe``, the replica-local bookkeeping every replica does
+before the call (epoll_ctl records its own ``data`` tags).
 
 Most handlers are generated from the ABI specs; epoll, poll, select,
 ioctl and futex need bespoke logic.
@@ -28,12 +38,11 @@ from repro.core.policies import (
 )
 from repro.kernel import constants as C
 from repro.kernel.memory import MemoryFault
-from repro.kernel.specs import spec_for
+from repro.kernel.specs import SYSCALL_SPECS, spec_for
 from repro.kernel.structs import (
     EPOLL_EVENT_SIZE,
     POLLFD_SIZE,
     pack_epoll_event,
-    pack_pollfd,
     read_iovecs,
     unpack_epoll_event,
     unpack_pollfd,
@@ -50,6 +59,22 @@ ALLCALL_NAMES = frozenset({"futex", "madvise", "fadvise64", "sched_yield"})
 
 _READ_LIKE = frozenset({"read", "readv", "pread64", "preadv"})
 _WRITE_LIKE = frozenset({"write", "writev", "pwrite64", "pwritev"})
+
+
+class ReplicaView:
+    """One replica as a handler sees it: its address space, its index
+    (for per-replica epoll tags), and the policy and fd-kind source the
+    ``maybe_checked`` decision reads. IP-MON's ``IpmonReplica`` is the
+    other view type."""
+
+    __slots__ = ("space", "epoll_map", "replica_index", "policy", "filemap")
+
+    def __init__(self, space, epoll_map, replica_index: int, policy=None, filemap=None):
+        self.space = space
+        self.epoll_map = epoll_map
+        self.replica_index = replica_index
+        self.policy = policy
+        self.filemap = filemap
 
 
 class IpmonHandler:
@@ -113,6 +138,11 @@ class IpmonHandler:
         return total
 
     # ------------------------------------------------------------------
+    # Every replica, before the call: replica-local bookkeeping.
+    def observe(self, view, req) -> None:
+        return
+
+    # ------------------------------------------------------------------
     # Master: read the out-buffers the kernel filled; build the payload.
     def collect_results(self, view, req, result: int) -> bytes:
         if self.spec is None or result < 0:
@@ -124,18 +154,31 @@ class IpmonHandler:
             if not addr:
                 chunks.append(struct.pack("<I", 0))
                 continue
-            valid = self._valid_length(arg_spec, req.args, result)
             try:
-                data = view.space.read(addr, valid, check_prot=False) if valid else b""
+                if arg_spec.kind == "iovec_out":
+                    # The first ``result`` bytes, gathered in iovec order.
+                    count = int(req.args[arg_spec.count_arg])
+                    out = bytearray()
+                    for base, length in read_iovecs(view.space, addr, count):
+                        if len(out) >= result:
+                            break
+                        take = min(length, result - len(out))
+                        out += view.space.read(base, take, check_prot=False)
+                    data = bytes(out)
+                else:
+                    valid = self._valid_length(arg_spec, req.args, result)
+                    data = view.space.read(addr, valid, check_prot=False) if valid else b""
             except MemoryFault:
                 data = b""
             chunks.append(struct.pack("<I", len(data)) + data)
         return b"".join(chunks)
 
-    # Slave: scatter the payload into this replica's own buffers.
-    def apply_results(self, view, req, result: int, payload: bytes) -> None:
+    # Slave: scatter the payload into this replica's own buffers; returns
+    # the bytes written (GHUMVEE bills its ptrace copy from it).
+    def apply_results(self, view, req, result: int, payload: bytes) -> int:
         if self.spec is None or result < 0 or not payload:
-            return
+            return 0
+        written = 0
         cursor = 0
         for index in self.spec.out_buffers():
             if cursor + 4 > len(payload):
@@ -159,13 +202,31 @@ class IpmonHandler:
                         chunk = data[offset : offset + iov_len]
                         view.space.write(base, chunk, check_prot=False)
                         offset += len(chunk)
+                        written += len(chunk)
                 else:
                     view.space.write(addr, data, check_prot=False)
+                    written += len(data)
             except MemoryFault:
                 # The slave's buffer is bad where the master's was fine:
                 # genuine divergence; let the consistency check machinery
-                # handle it (the result copy is simply dropped here).
-                return
+                # handle it (the rest of the result copy is dropped here).
+                return written
+        return written
+
+    # Master, read family (one out-buffer): let the monitor filter what
+    # the master read before any replica sees it.
+    def rewrite_output(self, view, req, result: int, payload: bytes, transform):
+        """Pass the master's bytes through ``transform``. When that
+        changes them, the master's own buffer gets the new bytes
+        zero-padded to the old length and the result becomes the new
+        length. Returns ``(payload, result)``."""
+        data = payload[4:]
+        new = transform(data)
+        if new == data:
+            return payload, result
+        padded = new + bytes(len(data) - len(new))
+        self.apply_results(view, req, result, struct.pack("<I", len(padded)) + padded)
+        return struct.pack("<I", len(new)) + new, len(new)
 
     def _valid_length(self, arg_spec, args, result: int) -> int:
         maxlen = _resolve(arg_spec.length, args)
@@ -233,25 +294,26 @@ class PollHandler(IpmonHandler):
             raw = b""
         return struct.pack("<I", len(raw)) + raw
 
-    def apply_results(self, view, req, result: int, payload: bytes) -> None:
+    def apply_results(self, view, req, result: int, payload: bytes) -> int:
         if result < 0 or len(payload) < 4:
-            return
+            return 0
         (length,) = struct.unpack_from("<I", payload, 0)
         raw = payload[4 : 4 + length]
-        # Keep the slave's own fd/events fields; copy only revents.
-        nfds = min(req.arg(1), len(raw) // POLLFD_SIZE)
+        # The master's whole pollfd entries (fd, events and revents) go
+        # into the slave's array: the arguments were compared equal, so
+        # only revents can differ from what the slave already holds.
+        nfds = max(0, min(req.arg(1), len(raw) // POLLFD_SIZE))
         for index in range(nfds):
-            fd, events, revents = unpack_pollfd(
-                raw[index * POLLFD_SIZE : (index + 1) * POLLFD_SIZE]
-            )
+            offset = index * POLLFD_SIZE
             try:
                 view.space.write(
-                    req.arg(0) + index * POLLFD_SIZE,
-                    pack_pollfd(fd, events, revents),
+                    req.arg(0) + offset,
+                    raw[offset : offset + POLLFD_SIZE],
                     check_prot=False,
                 )
             except MemoryFault:
-                return
+                return offset
+        return nfds * POLLFD_SIZE
 
 
 class SelectHandler(IpmonHandler):
@@ -295,8 +357,8 @@ class FutexHandler(IpmonHandler):
     def collect_results(self, view, req, result: int) -> bytes:
         return b""
 
-    def apply_results(self, view, req, result: int, payload: bytes) -> None:
-        return
+    def apply_results(self, view, req, result: int, payload: bytes) -> int:
+        return 0
 
 
 class IoctlHandler(IpmonHandler):
@@ -312,13 +374,14 @@ class IoctlHandler(IpmonHandler):
             return b""
         return struct.pack("<I", 4) + data
 
-    def apply_results(self, view, req, result: int, payload: bytes) -> None:
+    def apply_results(self, view, req, result: int, payload: bytes) -> int:
         if result < 0 or len(payload) < 8 or not req.arg(2):
-            return
+            return 0
         try:
             view.space.write(req.arg(2), payload[4:8], check_prot=False)
         except MemoryFault:
-            return
+            return 0
+        return 4
 
 
 class EpollWaitHandler(IpmonHandler):
@@ -367,9 +430,9 @@ class EpollWaitHandler(IpmonHandler):
             out += struct.pack("<IQB", revents, value, translated)
         return bytes(out)
 
-    def apply_results(self, view, req, result: int, payload: bytes) -> None:
+    def apply_results(self, view, req, result: int, payload: bytes) -> int:
         if result <= 0 or len(payload) < 4:
-            return
+            return 0
         (count,) = struct.unpack_from("<I", payload, 0)
         neutral = []
         cursor = 4
@@ -388,7 +451,8 @@ class EpollWaitHandler(IpmonHandler):
                     check_prot=False,
                 )
             except MemoryFault:
-                return
+                return index * EPOLL_EVENT_SIZE
+        return len(localized) * EPOLL_EVENT_SIZE
 
 
 class EpollCtlHandler(IpmonHandler):
@@ -425,9 +489,19 @@ _CUSTOM = {
 }
 
 
+#: One handler per spec'd syscall. Handlers hold no per-run state, so
+#: every monitor shares these instances.
+_HANDLERS: Dict[str, IpmonHandler] = {
+    name: _CUSTOM.get(name, IpmonHandler)(name) for name in SYSCALL_SPECS
+}
+
+
+def handler_for(name: str) -> IpmonHandler:
+    handler = _HANDLERS.get(name)
+    if handler is None:
+        return _CUSTOM.get(name, IpmonHandler)(name)
+    return handler
+
+
 def build_handler_table(names) -> Dict[str, IpmonHandler]:
-    table = {}
-    for name in names:
-        cls = _CUSTOM.get(name, IpmonHandler)
-        table[name] = cls(name)
-    return table
+    return {name: handler_for(name) for name in names}

@@ -25,12 +25,7 @@ from typing import List
 from repro.core.comparator import serialize_args
 from repro.core.events import DivergenceReport
 from repro.core.fdtable import FileMapView
-from repro.core.handlers import (
-    ALLCALL,
-    EpollCtlHandler,
-    MASTERCALL,
-    build_handler_table,
-)
+from repro.core.handlers import ALLCALL, MASTERCALL, build_handler_table
 from repro.core.rb import (
     FLAG_FORWARDED,
     FLAG_MAY_BLOCK,
@@ -303,8 +298,7 @@ class IpmonReplica:
             result = yield from broker.route_to_monitor(thread, req)
             return result
 
-        if isinstance(handler, EpollCtlHandler):
-            handler.observe(self, req)
+        handler.observe(self, req)
 
         # Role dispatch. A freshly promoted master first *drains* the
         # records its dead predecessor published — it consumes them like

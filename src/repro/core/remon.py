@@ -234,8 +234,8 @@ class ReMon(Supervisor):
     def _ipmon_stats(self) -> dict:
         return self.ipmon.stats if self.ipmon is not None else {}
 
-    def rb_lanes(self) -> dict:
-        return self.ipmon.rb.lanes if self.ipmon is not None else {}
+    def rb_lanes(self) -> Optional[dict]:
+        return self.ipmon.rb.lanes if self.ipmon is not None else None
 
     # ------------------------------------------------------------------
     # Events

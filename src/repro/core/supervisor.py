@@ -107,9 +107,9 @@ class Supervisor:
         """Let a ``NodeRejoinFault`` victim be re-admitted after its
         crash: nothing to grant without a lifecycle."""
 
-    def rb_lanes(self) -> dict:
-        """The in-process RB's lanes by vtid: none without one."""
-        return {}
+    def rb_lanes(self) -> Optional[dict]:
+        """The in-process RB's lanes by vtid; ``None`` without an RB."""
+        return None
 
     # ------------------------------------------------------------------
     # Events

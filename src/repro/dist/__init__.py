@@ -41,7 +41,7 @@ from repro.dist.codec import (
     rle_decode,
     rle_encode,
 )
-from repro.dist.node import DistInterceptor, Node, NodeFdView, ReplicaView
+from repro.dist.node import DistInterceptor, Node, NodeFdView
 from repro.dist.reliable import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -111,7 +111,6 @@ __all__ = [
     "DistInterceptor",
     "Node",
     "NodeFdView",
-    "ReplicaView",
     "RBMirror",
     "RemoteRecord",
     "BREAKER_CLOSED",

@@ -40,11 +40,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.epoll_map import EpollShadowMap
 from repro.core.events import DivergenceReport, MveeResult
-from repro.core.handlers import build_handler_table
+from repro.core.handlers import ReplicaView, build_handler_table
 from repro.core.policies import Level
 from repro.core.remon import ReMonConfig
 from repro.core.supervisor import Supervisor
-from repro.dist.node import DistInterceptor, Node, ReplicaView
+from repro.dist.node import DistInterceptor, Node, NodeFdView
 from repro.dist.remote_rb import RBMirror
 from repro.dist.selective import (
     CLS_CONTROL,
@@ -835,7 +835,9 @@ class DistMvee(Supervisor):
             self.bump_membership()
         node.kernel = kernel
         node.process = process
-        node.view = ReplicaView(process, self.policy, self.epoll_map, node.index)
+        node.view = ReplicaView(
+            process.space, self.epoll_map, node.index, self.policy, NodeFdView(process)
+        )
         node.interceptor = DistInterceptor(self, node)
         kernel.syscall_hooks.append(node.interceptor)
         node.runtime = GuestRuntime(kernel, process, self.program, layout=node.layout)

@@ -33,6 +33,7 @@ from typing import Dict, Optional
 
 from repro.core.comparator import serialize_args
 from repro.core.events import DivergenceReport
+from repro.core.handlers import ReplicaView
 from repro.dist import selective as sel
 from repro.dist.remote_rb import RBMirror, RemoteRecord
 from repro.dist.wire import (
@@ -86,17 +87,6 @@ class NodeFdView:
         if kind in ("reg", "dir", "chr", None):
             return False
         return not self.is_nonblocking(fd)
-
-
-class ReplicaView:
-    """The view object the shared IpmonHandler table operates through."""
-
-    def __init__(self, process, policy, epoll_map, node_index: int):
-        self.space = process.space
-        self.policy = policy
-        self.filemap = NodeFdView(process)
-        self.epoll_map = epoll_map
-        self.replica_index = node_index
 
 
 class Node:
@@ -373,9 +363,7 @@ class DistInterceptor:
         # Same replica-local bookkeeping as a live adoption (e.g. epoll
         # data tags), just billed at replay cost.
         yield from self._claim_replay_turn(thread, STATE_RECORD, vtid, seq)
-        observe = getattr(handler, "observe", None)
-        if observe is not None:
-            observe(view, req)
+        handler.observe(view, req)
         yield Sleep(costs.lifecycle_replay_ns, cpu=True)
         handler.apply_results(view, req, record.result, record.payload)
         node.mirror.consume(vtid, seq)
@@ -483,11 +471,8 @@ class DistInterceptor:
         mvee.monitor.record_reference(thread.vtid, seq, req.name, digest)
         # Replica-local bookkeeping before execution (EpollCtlHandler
         # records each replica's own data tags so adopted epoll events
-        # can be localized). Only external-service policies route calls
-        # with an observe() hook through this lane.
-        observe = getattr(handler, "observe", None)
-        if observe is not None:
-            observe(view, req)
+        # can be localized).
+        handler.observe(view, req)
         result = yield from node.kernel.invoke(thread, req)
         if not isinstance(result, int):
             return result
@@ -545,9 +530,7 @@ class DistInterceptor:
         # Same replica-local bookkeeping the leader does before
         # executing; a follower never executes this call, so the hook is
         # its only chance to record e.g. its own epoll data tags.
-        observe = getattr(handler, "observe", None)
-        if observe is not None:
-            observe(view, req)
+        handler.observe(view, req)
 
         def adopt(record):
             adopt_ns = (

@@ -403,10 +403,15 @@ class FaultInjector:
         self._pending_stalls.setdefault(fault.replica, []).append(fault.duration_ns)
 
     def _fire_rb_corruption(self, fault: RBCorruptionFault, attempt: int) -> None:
-        record = self._find_pending_record(fault)
+        lanes = self.mvee.rb_lanes() if self.mvee is not None else None
+        if lanes is None:
+            # The front end has no in-process RB to corrupt.
+            self.stats["skipped"] += 1
+            return
+        record = self._find_pending_record(fault, lanes)
         if record is None:
             # No record in flight right now; retry briefly, then give up.
-            if attempt < 200 and self.mvee is not None and not self.mvee.shutting_down:
+            if attempt < 200 and not self.mvee.shutting_down:
                 self.kernel.sim.call_at(
                     self.kernel.sim.now + 50_000, self._fire_rb_corruption, fault, attempt + 1
                 )
@@ -424,10 +429,7 @@ class FaultInjector:
         self.stats["rb_corruptions"] += 1
         self._obs_fault("rb_corruption")
 
-    def _find_pending_record(self, fault: RBCorruptionFault):
-        if self.mvee is None:
-            return None
-        lanes = self.mvee.rb_lanes()
+    def _find_pending_record(self, fault: RBCorruptionFault, lanes: dict):
         candidates = (
             [lanes[fault.lane_vtid]]
             if fault.lane_vtid is not None and fault.lane_vtid in lanes

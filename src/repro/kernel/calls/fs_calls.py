@@ -147,7 +147,7 @@ def sys_pread64(kernel, thread, fd, buf, count, offset):
     if entry is None:
         return err
     node = entry.ofd.file
-    if not isinstance(node, RegularFile):
+    if not isinstance(node, (RegularFile, SyntheticFile)):
         return -E.ESPIPE
     data = node.pread(offset, count)
     thread.process.space.write(buf, data)
@@ -177,7 +177,7 @@ def sys_preadv(kernel, thread, fd, iov_addr, iovcnt, offset):
     if entry is None:
         return err
     node = entry.ofd.file
-    if not isinstance(node, RegularFile):
+    if not isinstance(node, (RegularFile, SyntheticFile)):
         return -E.ESPIPE
     space = thread.process.space
     iovecs = read_iovecs(space, iov_addr, iovcnt)

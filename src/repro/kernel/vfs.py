@@ -295,6 +295,9 @@ class SyntheticFile(FileObject):
         return bytes(chunk)
         yield  # pragma: no cover
 
+    def pread(self, offset: int, count: int) -> bytes:
+        return bytes(self.content()[offset : offset + count])
+
 
 # ---------------------------------------------------------------------------
 # Filesystem tree + path resolution

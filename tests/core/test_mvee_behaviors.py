@@ -7,6 +7,7 @@ from repro.guest.program import Compute, Program
 from repro.kernel import Kernel
 from repro.kernel import constants as C
 from repro.kernel import errno_codes as E
+from repro.kernel.structs import pack_iovec
 
 
 def run_mvee(program, level=Level.NONSOCKET_RW, replicas=2, kernel=None, **cfg):
@@ -210,8 +211,33 @@ class TestSignalsUnderMvee:
         assert not mvee.ipmon.signals_pending()
 
 
+def _read_chunk(ctx, how, fd, offset, size=2048):
+    """Coroutine: one read-family call of up to ``size`` bytes."""
+    buf = yield from ctx.libc.scratch(2 * size)
+    if how == "read":
+        ret = yield ctx.sys.read(fd, buf, size)
+    elif how == "pread64":
+        ret = yield ctx.sys.pread64(fd, buf, size, offset)
+    else:
+        # Two iovecs, the second one not adjacent to the first.
+        half = size // 2
+        iov = yield from ctx.libc.push_bytes(
+            pack_iovec(buf, half) + pack_iovec(buf + size, size - half)
+        )
+        if how == "readv":
+            ret = yield ctx.sys.readv(fd, iov, 2)
+        else:
+            ret = yield ctx.sys.preadv(fd, iov, 2, offset)
+        if ret > 0:
+            head = ctx.mem.read(buf, min(ret, half))
+            tail = ctx.mem.read(buf + size, ret - half) if ret > half else b""
+            return ret, head + tail
+    return ret, ctx.mem.read(buf, ret) if ret > 0 else b""
+
+
 class TestProcMapsFiltering:
-    def test_replicas_cannot_see_ipmon_mappings(self):
+    @pytest.mark.parametrize("how", ["read", "pread64", "readv", "preadv"])
+    def test_replicas_cannot_see_ipmon_mappings(self, how):
         seen = {}
 
         def main(ctx):
@@ -219,7 +245,7 @@ class TestProcMapsFiltering:
             fd = yield from libc.open("/proc/self/maps")
             content = bytearray()
             while True:
-                ret, chunk = yield from libc.read(fd, 2048)
+                ret, chunk = yield from _read_chunk(ctx, how, fd, len(content))
                 if ret <= 0:
                     break
                 content += chunk
@@ -237,6 +263,63 @@ class TestProcMapsFiltering:
         # ... even though the mapping genuinely exists.
         master = mvee.group.master()
         assert any(m.name == "[ipmon-rb]" for m in master.space.mappings())
+
+
+class TestVectoredReads:
+    """readv/preadv results reach every replica, on GHUMVEE's path
+    (NO_IPMON) and on IP-MON's (NONSOCKET_RO)."""
+
+    @pytest.mark.parametrize("level", [Level.NO_IPMON, Level.NONSOCKET_RO],
+                             ids=lambda level: level.name)
+    @pytest.mark.parametrize("name", ["readv", "preadv"])
+    def test_both_replicas_read_the_file(self, name, level):
+        seen = {}
+
+        def main(ctx):
+            libc = ctx.libc
+            fd = yield from libc.open("/data/f")
+            a = yield from libc.malloc(4)
+            b = yield from libc.malloc(16)
+            iov = yield from libc.push_bytes(pack_iovec(a, 4) + pack_iovec(b, 16))
+            if name == "readv":
+                ret = yield ctx.sys.readv(fd, iov, 2)
+            else:
+                ret = yield ctx.sys.preadv(fd, iov, 2, 2)
+            seen[ctx.process.replica_index] = (
+                ret, ctx.mem.read(a, 4) + ctx.mem.read(b, max(0, ret - 4))
+            )
+            return 0
+
+        data = b"0123456789ABCDEF"
+        _k, _m, result = run_mvee(
+            Program(name, main, files={"/data/f": data}), level=level
+        )
+        expected = data if name == "readv" else data[2:]
+        assert result.exit_codes == [0, 0] and not result.diverged
+        assert seen == {0: (len(expected), expected), 1: (len(expected), expected)}
+
+
+class TestMonitoredIoctl:
+    def test_fionread_count_reaches_the_slave(self):
+        """A monitored FIONREAD (NO_IPMON) copies the master's count
+        into every replica, as IP-MON's unmonitored path does."""
+        seen = {}
+
+        def main(ctx):
+            fd = yield from ctx.libc.open("/data/f")
+            buf = yield from ctx.libc.malloc(8)
+            ctx.mem.write(buf, b"\xff" * 4)
+            ret = yield ctx.sys.ioctl(fd, 0x541B, buf)
+            seen[ctx.process.replica_index] = (ret, ctx.mem.read(buf, 4))
+            return 0
+
+        _k, mvee, result = run_mvee(
+            Program("fionread", main, files={"/data/f": b"0123456789"}),
+            level=Level.NO_IPMON,
+        )
+        assert not result.diverged
+        assert seen[0] == seen[1] == (0, (10).to_bytes(4, "little"))
+        assert mvee.ghumvee.stats["bytes_replicated"] == 4
 
 
 class TestSharedMemoryRestriction:

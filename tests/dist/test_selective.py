@@ -1,7 +1,10 @@
-"""Replication-policy classification tests."""
+"""Replication-policy classification tests, and a full-replication run
+of a call the mirror lane once crashed on."""
 
 from __future__ import annotations
 
+from repro.core import Level, ReMonConfig
+from repro.dist import DistConfig, run_distributed
 from repro.dist.selective import (
     LOCAL,
     REPLICATED,
@@ -9,6 +12,8 @@ from repro.dist.selective import (
     selective_replication,
     syscall_class,
 )
+from repro.guest.program import Program
+from repro.kernel.structs import pack_iovec
 
 
 def test_selective_keeps_reproducible_calls_local():
@@ -63,3 +68,30 @@ def test_syscall_class_buckets():
     assert syscall_class("getpid") == "proc"
     assert syscall_class("futex") == "proc"
     assert syscall_class("mmap") == "mgmt"
+
+
+def test_full_replication_mirrors_vectored_reads():
+    """Under full replication a follower adopts the leader's readv result
+    from the mirror lane."""
+    seen = {}
+
+    def main(ctx):
+        libc = ctx.libc
+        fd = yield from libc.open("/data/f")
+        a = yield from libc.malloc(4)
+        b = yield from libc.malloc(16)
+        iov = yield from libc.push_bytes(pack_iovec(a, 4) + pack_iovec(b, 16))
+        ret = yield ctx.sys.readv(fd, iov, 2)
+        seen[ctx.process.replica_index] = (ret, ctx.mem.read(a, 4) + ctx.mem.read(b, 6))
+        return 0
+
+    data = b"0123456789"
+    result = run_distributed(
+        Program("readv", main, files={"/data/f": data}),
+        ReMonConfig(replicas=3, level=Level.SOCKET_RW,
+                    dist=DistConfig(replication=full_replication())),
+        max_steps=2_000_000,
+    )
+    assert result.exit_codes == [0, 0, 0] and not result.diverged
+    assert seen == {index: (10, data) for index in range(3)}
+    assert result.stats["dist_adopted_results"] >= 2

@@ -227,15 +227,21 @@ class TestFaultsWithoutATarget:
         assert result.exit_codes == [0, 0] and not result.diverged
 
     def test_dist_mvee_has_no_in_process_rb(self):
-        mvee = DistMvee(
-            chatty_program(compute_ns=10_000, exit_code=0),
-            ReMonConfig(replicas=2, level=Level.NONSOCKET_RW,
-                        dist=DistConfig()),
-        )
-        injector = mvee.attach_faults(
-            FaultInjector(FaultPlan([RBCorruptionFault(at_ns=50_000)]))
-        )
-        result = mvee.run(max_steps=40_000_000)
+        def run(faults):
+            mvee = DistMvee(
+                chatty_program(compute_ns=10_000, exit_code=0),
+                ReMonConfig(replicas=2, level=Level.NONSOCKET_RW,
+                            dist=DistConfig()),
+            )
+            injector = mvee.attach_faults(FaultInjector(FaultPlan(faults)))
+            result = mvee.run(max_steps=40_000_000)
+            return mvee, injector, result
+
+        mvee, injector, result = run([RBCorruptionFault(at_ns=50_000)])
         assert injector.stats["skipped"] == 1
         assert injector.total_injected == 0
         assert result.exit_codes == [0, 0] and not result.diverged
+        # Skipped at once: no retry timer keeps the run going. The one
+        # extra step is the fault's own firing.
+        clean, _injector, _result = run([])
+        assert (mvee.sim.now, mvee.sim.steps) == (clean.sim.now, clean.sim.steps + 1)
