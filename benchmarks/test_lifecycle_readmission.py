@@ -5,7 +5,7 @@ A 4-node sharded cluster loses one node 2 ms in (follower, shard owner
 or leader), re-images it, replays the recorded window into it and takes
 it back into the lockstep quorum under a bumped epoch. Known red: the
 shard-owner and leader rows end in a false ``close`` replay mismatch
-(ROADMAP item 1), so this check fails until that bug is fixed.
+(ROADMAP item 3), so this check fails until that bug is fixed.
 
 Run with
 ``PYTHONPATH=src python -m pytest benchmarks/test_lifecycle_readmission.py``.

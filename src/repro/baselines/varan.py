@@ -163,7 +163,7 @@ class Varan:
     def intercept(self, thread, req):
         if getattr(thread.process, "varan", None) is not self:
             return None
-        if getattr(req, "bypass_agents", False):
+        if req.bypass_agents:
             # An unaligned syscall gadget: VARAN's binary rewriting never
             # saw this instruction, so the call goes straight through.
             return None

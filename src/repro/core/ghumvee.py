@@ -218,7 +218,7 @@ class LockstepContext:
                     for p in ghumvee.group.processes
                     if not p.exited
                     and not p.quarantined
-                    and ghumvee.group.index_of(p) not in self.entry_stops
+                    and p.replica_index not in self.entry_stops
                 ]
                 for process in laggards:
                     ghumvee.remon.replica_fault(

@@ -108,7 +108,7 @@ class InKernelBroker:
         if obs is not None and obs.tracer.enabled:
             obs.tracer.instant(
                 "ikb", "route-ipmon", syscall=req.name, vtid=thread.vtid,
-                replica=getattr(thread.process, "replica_index", None),
+                replica=thread.process.replica_index,
             )
             yield Sleep(costs.ikb_forward_ns + obs.span_cost_ns, cpu=True)
         else:
@@ -192,7 +192,7 @@ class InKernelBroker:
         if obs is not None and obs.tracer.enabled:
             obs.tracer.instant(
                 "ikb", "route-monitor", syscall=req.name, vtid=thread.vtid,
-                replica=getattr(thread.process, "replica_index", None),
+                replica=thread.process.replica_index,
             )
         clean = req.replace(site="app", token=None)
         result = yield from self.kernel.traced_invoke(thread, clean)

@@ -268,7 +268,7 @@ class DegradationPolicy:
         return "security"
 
     def classify(self, report) -> str:
-        return self.classify_kind(getattr(report, "kind", "mismatch"))
+        return self.classify_kind(report.kind)
 
 
 def always_monitored(name: str) -> bool:

@@ -274,7 +274,7 @@ class ReMon(Supervisor):
             % (len(own_blob), len(master_blob)),
             detected_by="ipmon",
             replica_args=[master_blob, own_blob],
-            replica=getattr(thread.process, "replica_index", None),
+            replica=thread.process.replica_index,
         )
         self.divergence(report)
 
@@ -294,7 +294,7 @@ class ReMon(Supervisor):
         if policy.classify_kind("crash") != "benign":
             return False
         if (
-            self.group.index_of(process) == self.group.master_index
+            process.replica_index == self.group.master_index
             and not policy.promote_master
         ):
             return False
@@ -319,14 +319,14 @@ class ReMon(Supervisor):
         if not survivors:
             return
         new_master = survivors[0]  # processes are kept in index order
-        new_index = self.group.index_of(new_master)
+        new_index = new_master.replica_index
         old_master = self.group.processes[dead_index]
         for fd in old_master.fdtable.fds():
             entry = old_master.fdtable.get(fd)
-            if entry is None or getattr(entry.ofd.file, "kind", None) == "shadow":
+            if entry is None or entry.ofd.file.kind == "shadow":
                 continue
             target = new_master.fdtable.get(fd)
-            if target is not None and getattr(target.ofd.file, "kind", None) != "shadow":
+            if target is not None and target.ofd.file.kind != "shadow":
                 continue  # the survivor already owns a real file here
             new_master.fdtable.install(fd, entry.ofd, entry.cloexec)
         self.group.master_index = new_index

@@ -68,7 +68,7 @@ class RecordReplayAgent:
 
     def sync_point(self, ctx, op_key):
         """Coroutine: called from guest context at a sync operation."""
-        replica_index = getattr(ctx.process, "replica_index", None)
+        replica_index = ctx.process.replica_index
         if replica_index is None:
             return
         yield Sleep(SYNC_POINT_COST_NS, cpu=True)

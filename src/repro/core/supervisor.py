@@ -27,9 +27,6 @@ class ReplicaGroup:
         process.replica_index = len(self.processes)
         self.processes.append(process)
 
-    def index_of(self, process) -> int:
-        return getattr(process, "replica_index", 0)
-
     def master(self):
         return self.processes[self.master_index]
 
@@ -37,7 +34,7 @@ class ReplicaGroup:
         return [
             p
             for p in self.processes
-            if not p.exited and not getattr(p, "quarantined", False)
+            if not p.exited and not p.quarantined
         ]
 
     def all_exited(self) -> bool:
@@ -185,7 +182,7 @@ class Supervisor:
         promoting a new master when the master is the one lost (the
         paper's fail-stop policy relaxed to a quorum rule; every
         *mismatch* still fail-stops)."""
-        index = self.group.index_of(process)
+        index = process.replica_index
         was_master = index == self.group.master_index
         policy = self.config.degradation
         if was_master and (policy is None or not policy.promote_master):
@@ -212,7 +209,7 @@ class Supervisor:
         names the shutdown reason."""
         if (
             sets_wall_time
-            and self.group.index_of(process) == self.group.master_index
+            and process.replica_index == self.group.master_index
             and not process.quarantined
             and self.master_exit_ns is None
         ):

@@ -99,18 +99,16 @@ LINK_BANDWIDTH_BPS = 1e9
 #: Scheduler cores per node kernel (``KernelConfig`` defaults to 16).
 NODE_CORES = 8
 
-#: Rendezvous verdicts are applied on every node at a *scheduled*
-#: instant (owner completion + link latency + this slack) rather than at
-#: frame arrival: arrival-order release wakes threads in node-dependent
-#: order — variable batch serialization can swap two nearby releases,
-#: and the broadcaster itself would wake in completion order — which
-#: desynchronizes shared-namespace allocation (fd numbers, memory races)
-#: across nodes. The slack covers batch serialization and jitter so the
-#: release frame is physically on every node before its delivery time
-#: (urgent release batches are tens of bytes; an occasional frame
-#: landing after its instant only means the uniform apply ran a hair
-#: early).
+#: Margin past one link latency at which a delivery's effect runs
+#: (see :meth:`DistMvee.deliver`).
 RELEASE_SLACK_NS = 2_000
+
+#: Frame types that are only bytes on arrival: the bytes of a scheduled
+#: delivery, whose effect runs at the delivery instant, or of an epoch
+#: announcement, whose epoch is already cluster-wide state.
+DELIVERED_FRAMES = frozenset({
+    T_RENDEZVOUS_OK, T_SYSCALL_RESULT, T_SHARD_HANDOFF, T_LIFECYCLE_STATE,
+})
 
 
 @dataclass
@@ -250,12 +248,11 @@ class DistMonitor:
 
     # -- shard plumbing ----------------------------------------------------
     def shard(self, owner: int) -> MonitorShard:
-        """The owner's shard, created on first use and attached to the
-        owner node (the state physically lives there)."""
+        """The owner's shard, created on first use (the state physically
+        lives on the owner node)."""
         shard = self._shards.get(owner)
         if shard is None:
             shard = self._shards[owner] = MonitorShard(owner)
-            self.mvee.nodes[owner].shard = shard
         return shard
 
     @property
@@ -375,22 +372,8 @@ class DistMonitor:
     def _complete(self, vtid: int, seq: int) -> None:
         """The owner's monitor finished servicing the round: vote over
         the *current* participants (membership may have changed while
-        queued) and broadcast the release.
-
-        Releases are *scheduled*, not applied at frame arrival: the
-        owner stamps the round with a delivery instant one
-        release_lag_ns ahead, and :meth:`_release` applies it on every
-        node simultaneously (the frames still travel — they model the
-        physical transfer — but delivery timing comes from the stamp,
-        PTP-multicast style). Arrival-order release is subtly unsound
-        even with the single leader as broadcaster: the leader itself
-        would wake in completion order while followers wake in arrival
-        order, and variable batch serialization can swap two nearby
-        releases — either way nodes wake threads in different orders
-        and shared-namespace allocation (fd numbers, memory races)
-        desynchronizes. Uniform scheduled delivery is also what makes
-        sharding safe at all: with many broadcasters there is no single
-        FIFO order to lean on."""
+        queued) and deliver the release (:meth:`_release`), strictly
+        after the previous one."""
         state = self.state_for(vtid, seq)
         if state is None or state.verdict is not None:
             return
@@ -412,32 +395,22 @@ class DistMonitor:
         # canonical bytes against what the cluster actually decided.
         agreed = next(iter(votes))[1] if verdict == 1 else 0
         owner = self.mvee.shard_owner(vtid, seq)
-        for peer in participants:
-            if peer == owner:
-                continue
-            self.mvee.send_frame(
-                owner, peer,
-                Frame(T_RENDEZVOUS_OK, owner, vtid, seq, aux=verdict),
-                cls=CLS_RENDEZVOUS, urgent=True,
-            )
-        lag = self.mvee.release_lag_ns()
-        if lag:
-            when = self.mvee.sim.now + lag
-            if when <= self._release_clock:
-                when = self._release_clock + 1
-            self._release_clock = when
-            self.mvee.sim.call_at(
-                when, self._release, vtid, seq, verdict, owner, agreed
-            )
-        else:
-            self._release(vtid, seq, verdict, owner, agreed)
+        self._release_clock = self.mvee.deliver(
+            [
+                (owner, peer,
+                 Frame(T_RENDEZVOUS_OK, owner, vtid, seq, aux=verdict),
+                 CLS_RENDEZVOUS, True)
+                for peer in participants if peer != owner
+            ],
+            self._release, vtid, seq, verdict, owner, agreed,
+            not_before=self._release_clock + 1,
+        )
 
     def _release(
         self, vtid: int, seq: int, verdict: int, owner: int, digest: int = 0
     ) -> None:
         """The verdict becomes visible: record it, report a divergence on
-        mismatch, and (under sharding) apply it to every node's mirror at
-        this one instant — uniform wake order across nodes."""
+        mismatch, and land it in every node's mirror."""
         state = self.state_for(vtid, seq)
         if state is None or state.verdict is not None:
             return
@@ -460,9 +433,6 @@ class DistMonitor:
                 )
             )
         sim = self.mvee.sim
-        # Scheduled delivery: land the release in every mirror at this
-        # one instant (the frames carry the bytes; _dispatch leaves
-        # their application to this event).
         for node in self.mvee.nodes:
             node.mirror.release(vtid, seq, verdict, sim, digest=digest)
         if self.mvee.lifecycle is not None:
@@ -502,7 +472,6 @@ class DistMonitor:
             fresh = MonitorShard(owner)
             fresh.rounds = dead.rounds
             self._shards[owner] = fresh
-            self.mvee.nodes[owner].shard = fresh
 
     # -- epoch handoff -----------------------------------------------------
     def _charge_handoff(self, shard: MonitorShard) -> None:
@@ -519,8 +488,8 @@ class DistMonitor:
         participants re-collect them via ``T_ROUND_RESUBMIT`` when they
         observe the epoch change), and surviving hosted rounds whose
         routing remapped are shipped to their new owner as
-        ``T_SHARD_HANDOFF`` state transfers, adopted one release lag
-        later.
+        ``T_SHARD_HANDOFF`` state transfers and adopted at their
+        delivery (:meth:`_adopt_transfers`).
         """
         mvee = self.mvee
         sim = mvee.sim
@@ -555,23 +524,24 @@ class DistMonitor:
                 new_owner = shard_owner(key[0], key[1], owners)
                 if new_owner != host:
                     transfers.append((host, new_owner, key, state))
-        for host, new_owner, key, state in transfers:
-            frame = Frame(
-                T_SHARD_HANDOFF, host, key[0], key[1], aux=epoch,
-                payload=handoff_payload(state.digests),
-            )
-            mvee.send_frame(host, new_owner, frame, cls=CLS_HANDOFF, urgent=True)
         self.handoff_stats["handoff_rounds"] += len(transfers)
         if transfers:
             self._pending_adoptions += len(transfers)
-            sim.call_at(
-                sim.now + mvee.release_lag_ns(), self._adopt_transfers, transfers
+            mvee.deliver(
+                [
+                    (host, new_owner,
+                     Frame(T_SHARD_HANDOFF, host, key[0], key[1], aux=epoch,
+                           payload=handoff_payload(state.digests)),
+                     CLS_HANDOFF, True)
+                    for host, new_owner, key, state in transfers
+                ],
+                self._adopt_transfers, transfers,
             )
         if self._pending_adoptions == 0:
             self._finish_handoff_span(lost)
 
     def _adopt_transfers(self, transfers) -> None:
-        """The scheduled arrival of shipped round state: move each round
+        """The delivery of shipped round state: move each round
         to its new owner's shard, charge the adoption work, and retry
         completion under the new membership."""
         mvee = self.mvee
@@ -733,11 +703,7 @@ class DistMvee(Supervisor):
         #: repro.lifecycle at module level.
         self.lifecycle = None
         lconfig = dconfig.lifecycle
-        if (
-            lconfig is not None
-            and getattr(lconfig, "enabled", True)
-            and not self.solo
-        ):
+        if lconfig is not None and not self.solo:
             from repro.lifecycle.manager import LifecycleManager
 
             self.lifecycle = LifecycleManager(self, lconfig)
@@ -1014,13 +980,6 @@ class DistMvee(Supervisor):
         self._route[vtid] = (seq, owner)
         return owner
 
-    def release_lag_ns(self) -> int:
-        """Delay between a round's verdict and its cluster-wide
-        visibility: verdicts are applied on every node (owner included)
-        at owner-completion + this lag, so releases reach all nodes in
-        one global order — see :meth:`DistMonitor._complete`."""
-        return self.dconfig.link_latency_ns + RELEASE_SLACK_NS
-
     def missing_participant(self, vtid: int, seq: int,
                             reporter: int) -> Optional[int]:
         """Whom to blame for a stalled rendezvous: the first participant
@@ -1047,6 +1006,48 @@ class DistMvee(Supervisor):
         if src == dst:
             return
         self.transport.send(src, dst, frame, cls=cls, urgent=urgent)
+
+    def deliver(self, sends, effect, *args, not_before: int = 0) -> int:
+        """Scheduled delivery, the one path for a cross-node effect.
+
+        Queue ``sends`` — ``(src, dst, frame, cls, urgent)`` tuples, in
+        order — on the transport, and run ``effect(*args)`` once, at one
+        instant: one link latency plus ``RELEASE_SLACK_NS`` from now, or
+        ``not_before`` if that is later. Returns the instant.
+
+        The frames model the physical transfer; the effect does not run
+        on their arrival. Batching and urgent flushes stagger arrivals,
+        and a sender's own effect would otherwise land at send time, so
+        arrival order would wake threads in a node-dependent order and
+        desynchronize shared-namespace allocation (fd numbers, memory
+        races) across nodes. One instant per delivery keeps every
+        node's wake order the same, whichever node broadcasts. The slack
+        covers batch serialization and jitter, so the frames are on
+        every node by then (an urgent batch is tens of bytes; a frame
+        that lands late only means the effect ran a hair early).
+
+        The effects are a round's release (:meth:`DistMonitor._release`),
+        a handoff's adoption (:meth:`DistMonitor._adopt_transfers`),
+        replicated records landing in the peers' mirrors
+        (:meth:`land_records`, for the leader's publish and a promoted
+        leader's rebroadcast) and a rejoiner's boot from its replay
+        window (``LifecycleManager._boot_replacement``)."""
+        for src, dst, frame, cls, urgent in sends:
+            self.send_frame(src, dst, frame, cls, urgent)
+        when = self.sim.now + self.dconfig.link_latency_ns + RELEASE_SLACK_NS
+        if when < not_before:
+            when = not_before
+        self.sim.call_at(when, effect, *args)
+        return when
+
+    def land_records(self, src: int, records) -> None:
+        """Land replicated ``((vtid, seq), record)`` pairs in the mirror
+        of every live peer of ``src``, read at the delivery instant
+        (duplicates drop idempotently)."""
+        sim = self.sim
+        for (vtid, seq), record in records:
+            for peer in self.live_peers(src):
+                self.nodes[peer].mirror.put(vtid, seq, record, sim)
 
     def _stale_frame(self, dst: int, frame: Frame) -> bool:
         """Epoch gate, checked by the transport before dispatch.
@@ -1078,6 +1079,10 @@ class DistMvee(Supervisor):
         return False
 
     def _dispatch(self, dst: int, frame: Frame) -> None:
+        if frame.type in DELIVERED_FRAMES:
+            # The bytes of a scheduled delivery: its effect runs at the
+            # delivery instant, not on arrival (see deliver).
+            return
         if frame.type == T_CALL_DIGEST:
             digest, name = parse_digest_payload(frame.payload)
             self.monitor.check_digest(
@@ -1091,28 +1096,9 @@ class DistMvee(Supervisor):
             self.monitor.submit(
                 frame.sender, frame.vtid, frame.seq, name, digest, resubmit=True
             )
-        elif frame.type == T_SHARD_HANDOFF:
-            # Epoch announcements and state transfers are applied by the
-            # scheduled handoff (DistMonitor.begin_handoff); the frames
-            # are the physical bytes of that transfer.
-            pass
         elif frame.type == T_LIFECYCLE_GOSSIP:
             if self.lifecycle is not None:
                 self.lifecycle.on_gossip_frame(dst, frame)
-        elif frame.type == T_LIFECYCLE_STATE:
-            # Replay-window transfers are applied by scheduled delivery
-            # (LifecycleManager._boot_replacement) — these frames are
-            # the physical bytes of the window crossing the link.
-            pass
-        elif frame.type in (T_RENDEZVOUS_OK, T_SYSCALL_RESULT):
-            # Releases and mirror records are applied by *scheduled*
-            # delivery (DistMonitor._release, the leader's scheduled
-            # mirror put): one global instant per record, so every node
-            # wakes its threads in the same order. These frames are the
-            # physical bytes of that transfer — a minimal frame can beat
-            # the schedule by a few hundred ns, so acting on arrival
-            # here would desynchronize wake order on the margin.
-            pass
         else:
             self.stats["control_frames"] += 1
 
@@ -1342,12 +1328,12 @@ class DistMvee(Supervisor):
         # breakers have already routed around would put the whole
         # cluster behind a degraded leader.
         for candidate in survivors:
-            if not self.nodes[self.group.index_of(candidate)].link_degraded:
+            if not self.nodes[candidate.replica_index].link_degraded:
                 new_leader = candidate
                 break
         else:
             new_leader = survivors[0]  # kept in index order
-        new_index = self.group.index_of(new_leader)
+        new_index = new_leader.replica_index
         self.group.master_index = new_index
         # The leader moved under the cached views. No round is retried
         # yet: the quarantine's own transition (_release) follows and
@@ -1357,31 +1343,23 @@ class DistMvee(Supervisor):
         # The new leader re-broadcasts every result it holds but has not
         # consumed: the dead leader may have shipped those records to us
         # and not to every peer (the RB-survives-its-writer analogue).
-        node = self.nodes[new_index]
-        rebroadcast = sorted(node.mirror.unconsumed().items())
-        for (vtid, seq), record in rebroadcast:
-            frame = Frame(
-                T_SYSCALL_RESULT, new_index, vtid, seq,
-                aux=record.result, payload=record.payload,
-            )
-            for peer in self.live_peers(new_index):
-                self.send_frame(
-                    new_index, peer, frame, cls=CLS_CONTROL, urgent=True
-                )
-            self.stats["failover_rebroadcasts"] += 1
-        if rebroadcast:
-            # Scheduled delivery, like the leader's normal mirror push:
-            # the rebroadcast records land on every surviving peer at
-            # one instant (duplicates drop idempotently).
-            self.sim.call_at(
-                self.sim.now + self.release_lag_ns(),
-                self._deliver_rebroadcast, new_index, rebroadcast,
-            )
-
-    def _deliver_rebroadcast(self, leader_index: int, rebroadcast) -> None:
-        for (vtid, seq), record in rebroadcast:
-            for peer in self.live_peers(leader_index):
-                self.nodes[peer].mirror.put(vtid, seq, record, self.sim)
+        rebroadcast = sorted(self.nodes[new_index].mirror.unconsumed().items())
+        if not rebroadcast:
+            return
+        peers = self.live_peers(new_index)
+        frames = [
+            Frame(T_SYSCALL_RESULT, new_index, vtid, seq,
+                  aux=record.result, payload=record.payload)
+            for (vtid, seq), record in rebroadcast
+        ]
+        self.deliver(
+            [
+                (new_index, peer, frame, CLS_CONTROL, True)
+                for frame in frames for peer in peers
+            ],
+            self.land_records, new_index, rebroadcast,
+        )
+        self.stats["failover_rebroadcasts"] += len(rebroadcast)
 
     # ------------------------------------------------------------------
     # Parking (a replica that lost its rendezvous waits for the kill)

@@ -76,7 +76,7 @@ class NodeFdView:
         entry = self.process.fdtable.get(fd)
         if entry is None:
             return None
-        return getattr(entry.ofd.file, "kind", None)
+        return entry.ofd.file.kind
 
     def is_nonblocking(self, fd: int) -> bool:
         entry = self.process.fdtable.get(fd)
@@ -101,9 +101,6 @@ class Node:
         self.kernel = None
         self.process = None
         self.mirror = RBMirror(index)
-        #: This node's MonitorShard, once it owns rendezvous rounds
-        #: (attached by DistMonitor.shard on first service).
-        self.shard = None
         self.view: Optional[ReplicaView] = None
         self.runtime = None
         self.interceptor: Optional["DistInterceptor"] = None
@@ -196,7 +193,7 @@ class DistInterceptor:
     def intercept(self, thread, req):
         if thread.process is not self.node.process:
             return None
-        if getattr(req, "bypass_agents", False):
+        if req.bypass_agents:
             return None
         return self._run(thread, req)
 
@@ -270,7 +267,10 @@ class DistInterceptor:
         if mvee.replication.classify(req.name, fd_kind) == sel.LOCAL:
             result = yield from self._local(thread, req, seq, digest, cls)
             return result
-        if node.index == mvee.leader_index:
+        # A promoted leader may already hold the dead leader's record of
+        # this call: it adopts that record like a follower instead of
+        # executing the call a second time.
+        if node.index == mvee.leader_index and node.mirror.get(vtid, seq) is None:
             result = yield from self._lead_replicated(
                 thread, req, seq, digest, cls, handler, view
             )
@@ -375,7 +375,7 @@ class DistInterceptor:
         """Block until this recorded artifact is next in window order.
 
         Live nodes wake threads in uniform scheduled release order (the
-        discipline `_release` documents); a replay that adopted at
+        discipline `DistMvee.deliver` documents); a replay that adopted at
         per-thread speed can interleave shared-namespace allocation —
         fd numbers most visibly — differently from the recorded run,
         and the canonical digest verification would (correctly) refuse
@@ -496,37 +496,24 @@ class DistInterceptor:
 
     def _publish(self, vtid, seq, record, frame, cls):
         """Ship one leader-executed result: into this node's mirror (and
-        the lifecycle window) now, to every live follower as ``frame``."""
-        mvee, node = self.mvee, self.node
-        sim = node.kernel.sim
-        node.mirror.put(vtid, seq, record, sim)
+        the lifecycle window) now, to every live follower as ``frame``,
+        delivered through :meth:`DistMvee.deliver`."""
+        mvee = self.mvee
+        src = self.node.index
+        self.node.mirror.put(vtid, seq, record, mvee.sim)
         if mvee.lifecycle is not None:
             mvee.lifecycle.record_result(vtid, seq, record)
-        for peer in mvee.live_peers(node.index):
-            mvee.send_frame(
-                node.index, peer, frame, cls=sel.CLS_RESULT_PREFIX + cls
-            )
-        # Scheduled delivery (same discipline as rendezvous releases):
-        # the record becomes visible on every follower at ONE instant,
-        # one release lag out, regardless of how batching staggered the
-        # physical frames — urgent flushes on one channel must not let
-        # that follower wake earlier than its peers.
-        mvee.sim.call_at(
-            sim.now + mvee.release_lag_ns(), self._mirror_peers,
-            vtid, seq, record,
+        cls = sel.CLS_RESULT_PREFIX + cls
+        mvee.deliver(
+            [(src, peer, frame, cls, False) for peer in mvee.live_peers(src)],
+            mvee.land_records, src, [((vtid, seq), record)],
         )
-
-    def _mirror_peers(self, vtid, seq, record):
-        """Land one replicated record in every live peer's mirror (the
-        scheduled-delivery instant; membership is read at fire time)."""
-        mvee, node = self.mvee, self.node
-        for peer in mvee.live_peers(node.index):
-            mvee.nodes[peer].mirror.put(vtid, seq, record, mvee.sim)
 
     def _follow_replicated(self, thread, req, seq, digest, cls, handler, view):
         mvee, node = self.mvee, self.node
         costs = node.kernel.config.costs
-        yield from self._ship_digest(thread, req, seq, digest)
+        if node.index != mvee.leader_index:
+            yield from self._ship_digest(thread, req, seq, digest)
         # Same replica-local bookkeeping the leader does before
         # executing; a follower never executes this call, so the hook is
         # its only chance to record e.g. its own epoll data tags.

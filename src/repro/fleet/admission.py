@@ -197,5 +197,5 @@ class AdmissionController:
 
     def _trace(self, what: str, now_ns: int) -> None:
         tracer = self.tracer
-        if tracer is not None and getattr(tracer, "enabled", False):
+        if tracer is not None and tracer.enabled:
             tracer.instant("fleet", what, t=now_ns)

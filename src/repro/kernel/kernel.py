@@ -202,7 +202,7 @@ class Kernel:
         dispatch_start = 0
         if obs is not None:
             dispatch_start = self.sim.now
-            replica = getattr(thread.process, "replica_index", None)
+            replica = thread.process.replica_index
             if obs.recorder is not None and replica is not None:
                 obs.recorder.record(replica, dispatch_start, "syscall",
                                     req.name, vtid=thread.vtid)

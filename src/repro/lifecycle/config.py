@@ -32,9 +32,6 @@ from repro.errors import PolicyError
 class LifecycleConfig:
     """Tuning for gossip membership, re-admission, and auto-scaling."""
 
-    #: Master switch; False behaves exactly like no config at all.
-    enabled: bool = True
-
     # -- gossip membership + heartbeats -------------------------------
     #: Arm the SWIM-style heartbeat/suspicion protocol. When armed it
     #: *replaces* the cluster's crash-detect timeout as the failure

@@ -271,9 +271,11 @@ class LifecycleManager:
             # about the peers.
             self.agents[index].restart(self.sim.now)
         # Ship the recorded window as billed lifecycle state frames from
-        # the current leader (who holds the authoritative record).
+        # the current leader (who holds the authoritative record); the
+        # delivery applies it and boots the guest.
         entries = self.window.snapshot()
         leader = mvee.leader_index
+        sends = []
         for kind, vtid, seq, artifact in entries:
             if kind == RECORD:
                 frame = Frame(
@@ -292,17 +294,11 @@ class LifecycleManager:
                         STATE_VERDICT, "", digest_payload(digest, "")
                     ),
                 )
-            mvee.send_frame(leader, index, frame, cls=CLS_LIFECYCLE)
+            sends.append((leader, index, frame, CLS_LIFECYCLE, False))
         self.stats["state_frames"] += len(entries)
         info["replay_start_ns"] = self.sim.now
         info["window_entries"] = len(entries)
-        # The window is applied (and the guest booted) once the state
-        # frames have physically crossed the link — same scheduled-
-        # delivery discipline as verdict releases.
-        self.sim.call_at(
-            self.sim.now + mvee.release_lag_ns(),
-            self._boot_replacement, node, entries,
-        )
+        mvee.deliver(sends, self._boot_replacement, node, entries)
 
     def _boot_replacement(self, node, entries) -> None:
         if self._halted():

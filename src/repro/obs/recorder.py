@@ -61,15 +61,14 @@ class Postmortem:
                  backoff: Optional[dict] = None,
                  recorder_stats: Optional[dict] = None):
         self.reason = reason
-        self.time_ns = getattr(report, "time_ns", 0)
-        self.vtid = getattr(report, "vtid", None)
-        self.syscall = getattr(report, "syscall", None)
-        self.detail = getattr(report, "detail", None)
-        self.detected_by = getattr(report, "detected_by", None)
-        self.kind = getattr(report, "kind", None)
-        self.replica = getattr(report, "replica", None)
-        args = getattr(report, "replica_args", None)
-        self.replica_args = [_clip(blob) for blob in args] if args else []
+        self.time_ns = report.time_ns
+        self.vtid = report.vtid
+        self.syscall = report.syscall
+        self.detail = report.detail
+        self.detected_by = report.detected_by
+        self.kind = report.kind
+        self.replica = report.replica
+        self.replica_args = [_clip(blob) for blob in report.replica_args]
         self.tails = tails
         self.attribution = attribution or {}
         self.backoff = backoff or {}

@@ -431,26 +431,20 @@ def run_server_benchmark(
 ) -> ClientResult:
     """Drive one client/server pair to completion.
 
-    ``server_runner(kernel, server_program)`` must start the server
-    (natively, under ReMon, under VARAN, or across a DistMvee cluster)
-    without running the simulation; this function then starts the client
-    and runs the world. A distributed runner's handle carries the
-    cluster topology — ``client_kernel`` (a plain kernel sharing the
-    cluster's simulator/network), ``server_ip`` (the leader node) and a
-    ``finalize`` callable — so all nine §5.2 profiles run distributed
-    with no per-profile glue. Returns the populated
-    :class:`ClientResult`.
+    ``server_runner(kernel, server_program)`` must start the server on
+    ``kernel`` (natively, under ReMon or under VARAN) without running the
+    simulation; this function then starts the client and runs the world.
+    A handle with a ``finalize`` (a ReMon) is finalized afterwards, which
+    raises any guest failure. Returns the populated :class:`ClientResult`.
     """
     from repro.guest import GuestRuntime
 
     result = ClientResult()
     handle = server_runner(kernel, server_program)
-    client_kernel = getattr(handle, "client_kernel", None) or kernel
-    server_ip = getattr(handle, "server_ip", "10.0.0.1")
-    client_process = client_kernel.create_process("client", host_ip=CLIENT_HOST)
-    client = build_client_program(server_ip, port, spec, result)
-    GuestRuntime(client_kernel, client_process, client).start()
-    client_kernel.sim.run(max_steps=400_000_000)
+    client_process = kernel.create_process("client", host_ip=CLIENT_HOST)
+    client = build_client_program("10.0.0.1", port, spec, result)
+    GuestRuntime(kernel, client_process, client).start()
+    kernel.sim.run(max_steps=400_000_000)
     finalize = getattr(handle, "finalize", None)
     if finalize is not None:
         finalize()

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from repro.core import DegradationPolicy, Level, ReMonConfig
 from repro.dist import DistConfig, DistMvee, run_distributed
-from repro.faults import CrashFault, FaultPlan, StallFault
-from repro.guest.program import Program
+from repro.faults import CrashFault, FaultInjector, FaultPlan, StallFault
+from repro.guest.program import Compute, Program
 from repro.kernel import constants as C
 
 MAX_STEPS = 120_000_000
@@ -33,8 +33,6 @@ def run_cluster(program, plan=None, degradation=None, replicas=3,
     )
     mvee = DistMvee(program, config)
     if plan is not None:
-        from repro.faults import FaultInjector
-
         mvee.attach_faults(FaultInjector(plan))
     result = mvee.run(max_steps=MAX_STEPS)
     return mvee, result
@@ -115,6 +113,43 @@ class TestLeaderCrash:
         # The promoted leader executed replicated calls itself after
         # the failover.
         assert result.stats["dist_promoted_executions"] > 0
+
+    def test_promoted_leader_adopts_records_it_already_holds(self):
+        """A slow follower promoted after the leader crashed holds
+        records the dead leader shipped but it has not consumed yet. It
+        adopts them instead of executing those calls again (which would
+        fork the clock reads and the file name built from them) and
+        re-broadcasts them to the other survivor."""
+
+        def main(ctx):
+            libc = ctx.libc
+            stamps = []
+            for _ in range(50):
+                stamps.append((yield from libc.clock_gettime()))
+                yield Compute(100_000)
+            fd = yield from libc.open(
+                "/tmp/t%d" % sum(stamps), C.O_WRONLY | C.O_CREAT
+            )
+            yield from libc.close(fd)
+            return 3
+
+        mvee = DistMvee(Program("failover", main), ReMonConfig(
+            replicas=3, level=Level.NONSOCKET_RW,
+            degradation=DegradationPolicy(min_quorum=2), dist=DistConfig(),
+        ))
+        mvee.nodes[1].process.compute_factor = 5.0
+        mvee.attach_faults(FaultInjector(
+            FaultPlan([CrashFault(replica=0, at_ns=2_000_000)])
+        ))
+        result = mvee.run(max_steps=MAX_STEPS)
+        assert not result.diverged, result.divergence
+        assert list(result.exit_codes) == [137, 3, 3]
+        assert mvee.leader_index == 1
+        assert result.stats["dist_failover_rebroadcasts"] == 13
+        # The rebroadcast landed on node 2, which already held all 13.
+        assert [node.mirror.duplicates_dropped for node in mvee.nodes] == [
+            0, 0, 13,
+        ]
 
     def test_leader_crash_without_promotion_fail_stops(self):
         plan = FaultPlan([CrashFault(replica=0, after_syscalls=20)])

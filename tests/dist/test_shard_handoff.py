@@ -98,16 +98,14 @@ class TestHappyPathUnchanged:
         # (shard_owners() itself shrinks once replicas exit cleanly).
         owners = set(mvee.monitor.rounds_by_owner)
         assert owners == {0, 1}
+        # Non-owners host no shard state at all.
+        assert set(mvee.monitor._shards) == owners
         for owner in owners:
-            shard = mvee.nodes[owner].shard
+            shard = mvee.monitor.shard(owner)
             assert isinstance(shard, MonitorShard)
             assert shard.owner == owner
             assert shard.rounds > 0
             assert not shard.dead
-        # Non-owners host no shard state at all.
-        for index in range(len(mvee.nodes)):
-            if index not in owners:
-                assert mvee.nodes[index].shard is None
 
 
 class TestOwnerCrashBlastRadius:

@@ -159,14 +159,8 @@ class TestBitIdentity:
         assert a.stats["dist_frames_lifecycle"] > 0
 
     def test_disabled_lifecycle_is_invisible(self):
-        """lifecycle=None and enabled=False runs are bit-identical to
-        each other: zero new frames, zero new stats, same wall time."""
+        """A lifecycle=None run takes zero lifecycle frames and stats."""
         (_, off) = run_lifecycle(plan=None, lifecycle=None)
-        (_, disabled) = run_lifecycle(
-            plan=None, lifecycle=LifecycleConfig(enabled=False)
-        )
-        assert off.stats == disabled.stats
-        assert off.wall_time_ns == disabled.wall_time_ns
         assert not any(key.startswith("lifecycle") for key in off.stats)
         assert "dist_bytes_lifecycle" not in off.stats
 

@@ -13,6 +13,12 @@ out-buffers, for GHUMVEE, IP-MON, the dist mirror and VARAN alike; the
 last two checks fail when a monitor decodes epoll events, pollfds or
 iovecs itself again, or probes a handler with
 ``getattr``/``hasattr``/``isinstance`` instead of calling its methods.
+
+Every cross-node effect goes through ``DistMvee.deliver`` (DESIGN.md
+§8, "Scheduled delivery"); the last three checks fail when code outside
+it computes a delivery instant from ``RELEASE_SLACK_NS``, when a node
+schedules an event itself, or when a mirror is written outside the
+delivered effects.
 """
 
 from __future__ import annotations
@@ -123,5 +129,86 @@ def test_no_monitor_probes_a_handler():
             ):
                 found.append("%s:%d %s" % (
                     path.relative_to(SRC).as_posix(), node.lineno, ast.unparse(node)
+                ))
+    assert found == []
+
+
+def _scoped(path: Path):
+    """Every AST node of ``path`` with the dotted ``Class.function``
+    scope it sits in ("" at module level)."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                yield from visit(child, scope + (child.name,))
+            else:
+                yield child, ".".join(scope)
+                yield from visit(child, scope)
+
+    return visit(ast.parse(path.read_text(), str(path)), ())
+
+
+def test_only_deliver_reads_the_release_slack():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node, scope in _scoped(path):
+            reads = (
+                isinstance(node, ast.Name)
+                and node.id == "RELEASE_SLACK_NS"
+                and isinstance(node.ctx, ast.Load)
+            ) or (
+                isinstance(node, ast.Attribute)
+                and node.attr == "RELEASE_SLACK_NS"
+            ) or (
+                isinstance(node, ast.alias) and node.name == "RELEASE_SLACK_NS"
+            )
+            if reads and scope != "DistMvee.deliver":
+                found.append("%s %s" % (path.relative_to(SRC).as_posix(), scope))
+    assert found == []
+
+
+def test_nodes_schedule_nothing_themselves():
+    path = SRC / "dist" / "node.py"
+    found = [
+        "node.py:%d %s" % (node.lineno, ast.unparse(node))
+        for node, _scope in _scoped(path)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "call_at"
+    ]
+    assert found == []
+
+
+#: The delivered effects that land mirror records and releases, plus
+#: the leader's write of its own record when it publishes.
+_MIRROR_WRITERS = frozenset({
+    "DistMvee.land_records",
+    "DistMonitor._release",
+    "LifecycleManager._boot_replacement",
+    "DistInterceptor._publish",
+})
+
+
+def test_mirrors_are_written_only_by_deliveries():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node, scope in _scoped(path):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("put", "release")
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "mirror"
+            ):
+                continue
+            receiver = ast.unparse(node.func.value)
+            if scope not in _MIRROR_WRITERS or (
+                scope == "DistInterceptor._publish"
+                and receiver != "self.node.mirror"
+            ):
+                found.append("%s:%d %s" % (
+                    path.relative_to(SRC).as_posix(), node.lineno,
+                    ast.unparse(node),
                 ))
     assert found == []
