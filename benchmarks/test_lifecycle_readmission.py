@@ -3,9 +3,10 @@ DESIGN.md §12).
 
 A 4-node sharded cluster loses one node 2 ms in (follower, shard owner
 or leader), re-images it, replays the recorded window into it and takes
-it back into the lockstep quorum under a bumped epoch. Known red: the
-shard-owner and leader rows end in a false ``close`` replay mismatch
-(ROADMAP item 3), so this check fails until that bug is fixed.
+it back into the lockstep quorum under a bumped epoch. Every row must
+rejoin and exit 0; the shard-owner and leader rows once ended in a
+false ``close`` replay mismatch, fixed by adopting the window in one
+arrival order (DESIGN.md §13).
 
 Run with
 ``PYTHONPATH=src python -m pytest benchmarks/test_lifecycle_readmission.py``.

@@ -346,7 +346,7 @@ def temporal_abuse_program(outcome, warm_calls=16):
             ret, _ = yield from libc.read(conn, 64)
             assert ret == 64, ret
         # The malicious read: did the master's IP-MON exempt it?
-        replica = getattr(ctx.process, "ipmon_replica", None)
+        replica = ctx.process.ipmon_replica
         stats = replica.group.stats if replica is not None else {}
         before = stats.get("temporal_exemptions", 0)
         ret, _data = yield from libc.read(conn, 64)

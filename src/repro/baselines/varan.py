@@ -161,7 +161,7 @@ class Varan:
     # Kernel syscall hook
     # ------------------------------------------------------------------
     def intercept(self, thread, req):
-        if getattr(thread.process, "varan", None) is not self:
+        if thread.process.varan is not self:
             return None
         if req.bypass_agents:
             # An unaligned syscall gadget: VARAN's binary rewriting never

@@ -206,10 +206,10 @@ class InKernelBroker:
 # ---------------------------------------------------------------------------
 @syscall("ipmon_register")
 def sys_ipmon_register(kernel, thread, unmonitored=None, rb_ptr=0, entry_point=None):
-    broker = getattr(kernel, "ikb", None)
+    broker = kernel.ikb
     if broker is None:
         return -E.ENOSYS
-    replica = getattr(thread.process, "ipmon_replica", None)
+    replica = thread.process.ipmon_replica
     if replica is None or entry_point is None:
         return -E.EINVAL
     if not rb_ptr or not thread.process.space.is_mapped(rb_ptr):

@@ -235,7 +235,7 @@ class IpmonReplica:
             shared=True,
         )
         self._rb_base = mapping.start
-        broker = getattr(self.kernel, "ikb", None)
+        broker = self.kernel.ikb
         if broker is not None:
             registration = broker.registration_for(self.process)
             if registration is not None:

@@ -100,8 +100,7 @@ class ReMon(Supervisor):
         kernel.attach_obs(self.obs)
         self.program.install_files(kernel)
         pressure = kernel.config.costs.memory_pressure_per_replica
-        sensitivity = getattr(self.program, "cache_sensitivity", 1.0)
-        factor = 1.0 + pressure * (self.config.replicas - 1) * sensitivity
+        factor = 1.0 + pressure * (self.config.replicas - 1) * self.program.cache_sensitivity
         for layout in self.layouts:
             process = kernel.create_process(
                 "%s.r%d" % (self.program.name, layout.index),
@@ -116,7 +115,7 @@ class ReMon(Supervisor):
         self.ghumvee.attach_all()
 
         # Kernel broker (shared per kernel).
-        self.broker = getattr(kernel, "ikb", None)
+        self.broker = kernel.ikb
         if self.broker is None:
             self.broker = InKernelBroker(kernel)
             kernel.syscall_hooks.append(self.broker)

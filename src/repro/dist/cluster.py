@@ -762,9 +762,10 @@ class DistMvee(Supervisor):
         kernel on the shared clock and switch, with the program's files
         and the fault injector, plus the slot's interceptor, runtime and
         exit listener. A re-image (repro.lifecycle) also swaps the
-        group's process in place, resets the mirror, marks the node
-        rejoining and replaying, and drops the dead kernel's listeners,
-        which would shadow the replacement's binds with EADDRINUSE."""
+        group's process in place, gives the node an empty mirror that
+        logs arrival order, marks it rejoining, and drops the dead
+        kernel's listeners, which would shadow the replacement's binds
+        with EADDRINUSE."""
         kernel = Kernel(
             sim=self.sim,
             config=KernelConfig(cores=NODE_CORES),
@@ -792,9 +793,9 @@ class DistMvee(Supervisor):
             self.network.drop_listeners(old.kernel)
             self.group.processes[node.index] = process
             process.replica_index = node.index
-            node.mirror = RBMirror(node.index)
+            node.mirror = RBMirror(node.index, ordered=True)
             node.link_degraded = False
-            node.rejoining = node.replaying = True
+            node.rejoining = True
             # The slot's process changed under the cached views. No
             # round is retried: the replacement votes only once its
             # replay reaches the live frontier (change_membership then).

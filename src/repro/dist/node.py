@@ -60,6 +60,11 @@ from repro.sim import Sleep
 STALL_BACKOFF_INITIAL_NS = 100_000
 STALL_BACKOFF_MAX_NS = 16_000_000
 
+#: The two lanes besides :mod:`repro.dist.selective`'s local and
+#: replicated ones.
+_RENDEZVOUS = "rendezvous"
+_ACCEPT = "accept"
+
 
 class NodeFdView:
     """FileMapView stand-in reading the node's own descriptor table.
@@ -109,22 +114,10 @@ class Node:
         #: leader's replicated results (those arrive via scheduled
         #: delivery), but its vote is excluded from rendezvous quorums.
         self.link_degraded = False
-        #: Replay-based re-admission (repro.lifecycle). ``rejoining``
-        #: is True from re-image to the live frontier: the slot holds a
-        #: fresh replacement process whose vote gates nothing yet.
-        #: ``replaying`` keeps the interceptor consulting the mirror
-        #: for pre-recorded artifacts (cheap adoption instead of
-        #: re-voting rounds the cluster already decided).
+        #: Replay-based re-admission (repro.lifecycle): True from re-image
+        #: to the live frontier, while the replacement's vote gates
+        #: nothing and it adopts its pre-filled mirror (DESIGN.md §13).
         self.rejoining = False
-        self.replaying = False
-        #: Recorded window order for replay (list of (kind, vtid, seq)
-        #: in release/put order) plus the adoption cursor. Live nodes
-        #: wake in uniform release order; a replay that adopted at
-        #: per-thread speed could interleave shared-namespace
-        #: allocation (fd numbers) differently and fail the canonical
-        #: digest verification against the recorded run.
-        self.replay_plan: list = []
-        self.replay_cursor = 0
 
     @property
     def host_ip(self) -> str:
@@ -214,239 +207,125 @@ class DistInterceptor:
         vtid = thread.vtid
         seq = self._seq.get(vtid, 0)
         self._seq[vtid] = seq + 1
-        if node.replaying:
-            # Re-admission fast-replay: adopt recorded artifacts at
-            # lifecycle_replay_ns each (no digest, no round trip). A
-            # miss on an artifact-bearing lane is the live frontier —
-            # the node is re-admitted and the call falls through to the
-            # normal path below.
-            handled, result = yield from self._replay(thread, req, seq)
-            if handled:
-                return result
+        handler = mvee.handlers.get(req.name)
+        view = node.view
+        cls = None
+        if mvee.external and req.name in sel.EXTERNAL_LEADER_CALLS:
+            lane = _ACCEPT
+        elif handler is None or handler.maybe_checked(view, req):
+            lane = _RENDEZVOUS
+        else:
+            fd_kind = view.filemap.fd_kind(req.arg(0)) if req.args else None
+            lane = mvee.replication.classify(req.name, fd_kind)
+            if lane != sel.LOCAL:
+                cls = sel.syscall_class(req.name, fd_kind)
+        # A rejoiner before its frontier adopts what its mirror arrived
+        # pre-filled with, at lifecycle_replay_ns and without a digest.
+        # Its first miss on a lane that carries an artifact is the live
+        # frontier: it is re-admitted and votes from this call on.
+        replay = node.rejoining
+        if replay and lane != sel.LOCAL and (
+            node.mirror.verdict(vtid, seq) if lane is _RENDEZVOUS
+            else node.mirror.get(vtid, seq)
+        ) is None:
+            mvee.lifecycle.reach_frontier(node)
+            replay = False
+        digest = None
+        if not replay:
+            local, canonical = self._encode(req)
+            yield Sleep(costs.compare_cost_ns(len(local), len(req.args)), cpu=True)
+            # A canonical-ABI node bills nothing more: even a Sleep(0)
+            # would perturb event ordering.
+            canonical_ns = 0
+            if not node.profile.abi.canonical:
+                # Heterogeneous ABI: the guest-memory encoding is node-
+                # private (widths/padding), so the digest pipeline bills
+                # the re-encode to canonical form (DESIGN.md §13).
+                canonical_ns = costs.canonical_cost_ns(len(canonical))
+                yield Sleep(canonical_ns, cpu=True)
+                stats = mvee.stats
+                stats["canonical_calls"] = stats.get("canonical_calls", 0) + 1
+                stats["canonical_cost_ns"] = (
+                    stats.get("canonical_cost_ns", 0) + canonical_ns
+                )
+            hist = self._canonical_hist
+            if hist is None:
+                hist = self._canonical_hist = mvee.obs.registry.histogram(
+                    "dist_canonical_wait_ns"
+                )
+            hist.observe(canonical_ns)
+            digest = call_digest(req.name, canonical)
+        if lane is _ACCEPT:
+            result = yield from self._external_accept(
+                thread, req, seq, digest, replay
+            )
+        elif lane is _RENDEZVOUS:
+            result = yield from self._rendezvous(thread, req, seq, digest, replay)
+        elif lane == sel.LOCAL:
+            result = yield from self._local(thread, req, seq, digest, replay)
+        elif node.index == mvee.leader_index and node.mirror.get(vtid, seq) is None:
+            # A promoted leader may already hold the dead leader's record
+            # of this call: it adopts that record like a follower instead
+            # of executing the call a second time.
+            result = yield from self._lead_replicated(
+                thread, req, seq, digest, cls, handler, view
+            )
+        else:
+            result = yield from self._follow_replicated(
+                thread, req, seq, digest, cls, handler, view, replay
+            )
+        return result
+
+    def _encode(self, req):
+        """This node's scrubbed encoding of ``req``'s arguments and their
+        canonical form, the same object on a canonical-ABI node (every
+        node of a homogeneous cluster): there the local encoding *is*
+        the canonical form, so nothing is re-encoded."""
+        node = self.node
         blob = serialize_args(
             self._virtualized(req), node.process.space, abi=node.profile.abi
         )
         local = self._scrub(blob.encode())
-        yield Sleep(costs.compare_cost_ns(len(local), len(req.args)), cpu=True)
         if node.profile.abi.canonical:
-            # Canonical-ABI nodes — every node of a homogeneous cluster —
-            # hash their local bytes directly: the local encoding *is*
-            # the canonical form, so no re-encode and no extra virtual
-            # time (a Sleep(0) here would still perturb event ordering).
-            canonical = local
-            canonical_ns = 0
-        else:
-            # Heterogeneous ABI: the guest-memory encoding is node-
-            # private (widths/padding), so the digest pipeline re-encodes
-            # to canonical form and bills the rewrite (DESIGN.md §13).
-            canonical = self._scrub(blob.canonical())
-            canonical_ns = costs.canonical_cost_ns(len(canonical))
-            yield Sleep(canonical_ns, cpu=True)
-            stats = mvee.stats
-            stats["canonical_calls"] = stats.get("canonical_calls", 0) + 1
-            stats["canonical_cost_ns"] = (
-                stats.get("canonical_cost_ns", 0) + canonical_ns
-            )
-        hist = self._canonical_hist
-        if hist is None:
-            hist = self._canonical_hist = mvee.obs.registry.histogram(
-                "dist_canonical_wait_ns"
-            )
-        hist.observe(canonical_ns)
-        digest = call_digest(req.name, canonical)
-        handler = mvee.handlers.get(req.name)
-        view = node.view
-        if mvee.external and req.name in sel.EXTERNAL_LEADER_CALLS:
-            result = yield from self._external_accept(thread, req, seq, digest)
-            return result
-        if handler is None or handler.maybe_checked(view, req):
-            result = yield from self._rendezvous(thread, req, seq, digest)
-            return result
-        fd_kind = view.filemap.fd_kind(req.arg(0)) if req.args else None
-        cls = sel.syscall_class(req.name, fd_kind)
-        if mvee.replication.classify(req.name, fd_kind) == sel.LOCAL:
-            result = yield from self._local(thread, req, seq, digest, cls)
-            return result
-        # A promoted leader may already hold the dead leader's record of
-        # this call: it adopts that record like a follower instead of
-        # executing the call a second time.
-        if node.index == mvee.leader_index and node.mirror.get(vtid, seq) is None:
-            result = yield from self._lead_replicated(
-                thread, req, seq, digest, cls, handler, view
-            )
-            return result
-        result = yield from self._follow_replicated(
-            thread, req, seq, digest, cls, handler, view
-        )
-        return result
+            return local, local
+        return local, self._scrub(blob.canonical())
 
-    # -- replay lane (repro.lifecycle re-admission) ------------------------
-    def _replay(self, thread, req, seq):
-        """Adopt one recorded artifact, or report the live frontier.
-
-        Returns ``(True, result)`` when the call was satisfied from the
-        replayed window, ``(False, None)`` when the caller must take the
-        normal path. Artifact-bearing lanes (rendezvous, replicated,
-        external accept) treat a missing artifact as the frontier: the
-        cluster has not decided this call yet, so the replica is
-        re-admitted and votes from here on. Local calls execute against
-        the node's own kernel exactly as they would live — replay only
-        skips their digest traffic while still pre-frontier.
+    # -- arrival order (repro.lifecycle re-admission) ------------------------
+    def _claim_turn(self, thread, turn):
+        """Block until ``turn`` heads the mirror's arrival-order log (no
+        wait when the mirror keeps none). Live nodes wake threads in one
+        scheduled release order (see :meth:`DistMvee.deliver`); a
+        rejoiner adopting at per-thread speed could interleave fd
+        allocation differently. Arrival order, rr-style, reproduces it.
         """
-        mvee, node = self.mvee, self.node
-        lifecycle = mvee.lifecycle
-        costs = node.kernel.config.costs
-        vtid = thread.vtid
-        view = node.view
-        handler = mvee.handlers.get(req.name)
-        if mvee.external and req.name in sel.EXTERNAL_LEADER_CALLS:
-            record = node.mirror.get(vtid, seq)
-            if record is None:
-                if node.rejoining:
-                    lifecycle.reach_frontier(node)
-                return False, None
-            yield from self._claim_replay_turn(thread, STATE_RECORD, vtid, seq)
-            yield Sleep(costs.lifecycle_replay_ns, cpu=True)
-            if record.result >= 0:
-                self._materialize_accept(thread, req, record)
-            node.mirror.consume(vtid, seq)
-            lifecycle.stats["replayed_records"] += 1
-            self._finish_replay_turn()
-            return True, record.result
-        if handler is None or handler.maybe_checked(view, req):
-            verdict = node.mirror.verdict(vtid, seq)
-            if verdict is None:
-                if node.rejoining:
-                    lifecycle.reach_frontier(node)
-                return False, None
-            yield from self._claim_replay_turn(thread, STATE_VERDICT, vtid, seq)
-            yield Sleep(costs.lifecycle_replay_ns, cpu=True)
-            lifecycle.stats["replayed_verdicts"] += 1
-            if verdict != 1:
-                self._finish_replay_turn()
-                result = yield from mvee.park(thread)
-                return True, result
-            # Re-admission verification (DESIGN.md §13): the recorded
-            # verdict carries the round's *canonical* digest, so the
-            # replayed replica proves it would have voted with the
-            # cluster — against canonical bytes, never the recorder's
-            # node-local encoding (which a heterogeneous ABI makes
-            # incomparable by construction).
-            expected = node.mirror.verdict_digest(vtid, seq)
-            if expected:
-                verified = yield from self._verify_replay(
-                    thread, req, expected
-                )
-                if not verified:
-                    self._finish_replay_turn()
-                    result = yield from mvee.park(thread)
-                    return True, result
-            result = yield from node.kernel.invoke(thread, req)
-            self._finish_replay_turn()
-            return True, result
-        fd_kind = view.filemap.fd_kind(req.arg(0)) if req.args else None
-        if mvee.replication.classify(req.name, fd_kind) == sel.LOCAL:
-            if not node.rejoining:
-                # Past the frontier: local calls resume digest traffic.
-                return False, None
-            yield Sleep(costs.lifecycle_replay_ns, cpu=True)
-            lifecycle.stats["replayed_local"] += 1
-            result = yield from node.kernel.invoke(thread, req)
-            return True, result
-        record = node.mirror.get(vtid, seq)
-        if record is None:
-            # Nothing recorded (or promoted to leader mid-replay): the
-            # normal lane handles waiting/executing.
-            if node.rejoining:
-                lifecycle.reach_frontier(node)
-            return False, None
-        # Same replica-local bookkeeping as a live adoption (e.g. epoll
-        # data tags), just billed at replay cost.
-        yield from self._claim_replay_turn(thread, STATE_RECORD, vtid, seq)
-        handler.observe(view, req)
-        yield Sleep(costs.lifecycle_replay_ns, cpu=True)
-        handler.apply_results(view, req, record.result, record.payload)
-        node.mirror.consume(vtid, seq)
-        lifecycle.stats["replayed_records"] += 1
-        self._finish_replay_turn()
-        return True, record.result
-
-    def _claim_replay_turn(self, thread, kind, vtid, seq):
-        """Block until this recorded artifact is next in window order.
-
-        Live nodes wake threads in uniform scheduled release order (the
-        discipline `DistMvee.deliver` documents); a replay that adopted at
-        per-thread speed can interleave shared-namespace allocation —
-        fd numbers most visibly — differently from the recorded run,
-        and the canonical digest verification would (correctly) refuse
-        the re-admission. Replaying the window as a totally ordered
-        log, rr-style, reproduces the recorded interleaving exactly.
-        """
-        node = self.node
-        plan = node.replay_plan
-        if not plan:
-            return
-        want = (kind, vtid, seq)
-        while (
-            node.replay_cursor < len(plan)
-            and plan[node.replay_cursor] != want
-        ):
-            event = node.mirror.waitq.register()
+        mirror = self.node.mirror
+        while mirror.order and mirror.order[0] != turn:
+            event = mirror.waitq.register()
             status, _ = yield from wait_interruptible(thread, event)
             if status != "fired":
-                node.mirror.waitq.unregister(event)
+                mirror.waitq.unregister(event)
 
-    def _finish_replay_turn(self):
-        """Advance the window cursor and wake the next claimant."""
+    def _finish_turn(self, turn):
+        """``turn`` was adopted: pass the log on to the next claimant."""
         node = self.node
-        if not node.replay_plan:
-            return
-        node.replay_cursor += 1
-        node.mirror.waitq.notify_all(self.mvee.sim)
-
-    def _verify_replay(self, thread, req, expected):
-        """Recompute this node's canonical digest for one replayed
-        rendezvous and compare it to the recorded verdict's. Returns
-        False (after flagging a divergence) on mismatch."""
-        mvee, node = self.mvee, self.node
-        costs = node.kernel.config.costs
-        lifecycle = mvee.lifecycle
-        blob = serialize_args(
-            self._virtualized(req), node.process.space, abi=node.profile.abi
-        )
-        canonical = self._scrub(blob.canonical())
-        verify_ns = costs.compare_cost_ns(len(canonical), len(req.args))
-        if not node.profile.abi.canonical:
-            verify_ns += costs.canonical_cost_ns(len(canonical))
-        yield Sleep(verify_ns, cpu=True)
-        stats = lifecycle.stats
-        if call_digest(req.name, canonical) == expected:
-            stats["replayed_verified"] = stats.get("replayed_verified", 0) + 1
-            return True
-        stats["replay_verify_failures"] = (
-            stats.get("replay_verify_failures", 0) + 1
-        )
-        mvee.divergence(
-            DivergenceReport(
-                mvee.sim.now,
-                thread.vtid,
-                req.name,
-                "replayed %s diverges from the recorded canonical verdict "
-                "digest on node %d" % (req.name, node.index),
-                detected_by="replay",
-                replica=node.index,
-            )
-        )
-        return False
+        mirror = node.mirror
+        if mirror.order is not None:
+            mirror.end_turn(turn, keep=node.rejoining)
+            mirror.waitq.notify_all(self.mvee.sim)
 
     # -- local lane --------------------------------------------------------
-    def _local(self, thread, req, seq, digest, cls):
+    def _local(self, thread, req, seq, digest, replay):
         mvee, node = self.mvee, self.node
-        mvee.stats["local_calls"] += 1
-        if node.index == mvee.leader_index:
-            mvee.monitor.record_reference(thread.vtid, seq, req.name, digest)
+        if replay:
+            # Executed as live; only the digest waits for the frontier.
+            yield Sleep(node.kernel.config.costs.lifecycle_replay_ns, cpu=True)
+            mvee.lifecycle.stats["replayed_local"] += 1
         else:
-            yield from self._ship_digest(thread, req, seq, digest)
+            mvee.stats["local_calls"] += 1
+            if node.index == mvee.leader_index:
+                mvee.monitor.record_reference(thread.vtid, seq, req.name, digest)
+            else:
+                yield from self._ship_digest(thread, req, seq, digest)
         result = yield from node.kernel.invoke(thread, req)
         return result
 
@@ -466,7 +345,6 @@ class DistInterceptor:
     # -- replicated lane ---------------------------------------------------
     def _lead_replicated(self, thread, req, seq, digest, cls, handler, view):
         mvee, node = self.mvee, self.node
-        costs = node.kernel.config.costs
         mvee.stats["replicated_calls"] += 1
         mvee.monitor.record_reference(thread.vtid, seq, req.name, digest)
         # Replica-local bookkeeping before execution (EpollCtlHandler
@@ -477,30 +355,33 @@ class DistInterceptor:
         if not isinstance(result, int):
             return result
         payload = handler.collect_results(view, req, result)
-        frame = Frame(
-            T_SYSCALL_RESULT, node.index, thread.vtid, seq,
-            aux=result, payload=payload,
-        )
-        # dMVX's copy-to-transfer-unit tax: the leader's critical path
-        # pays the RB write plus the frame encode for every replicated
-        # call — the term selective replication exists to shrink. With
-        # compression on it also pays the codec scan over the raw bytes
-        # (the CPU side of the bytes-vs-CPU trade).
-        encode_ns = costs.rb_write_base_ns + costs.dist_frame_cost_ns(frame.size())
-        if mvee.dconfig.compress is not None and payload:
-            encode_ns += costs.dist_compress_cost_ns(len(payload))
-        yield Sleep(encode_ns, cpu=True)
-        self._publish(thread.vtid, seq, RemoteRecord(result, payload, req.name),
-                      frame, cls)
+        yield from self._publish(thread, req, seq, result, payload, cls, True)
         return result
 
-    def _publish(self, vtid, seq, record, frame, cls):
+    def _publish(self, thread, req, seq, result, payload, cls, coded=False):
         """Ship one leader-executed result: into this node's mirror (and
-        the lifecycle window) now, to every live follower as ``frame``,
-        delivered through :meth:`DistMvee.deliver`."""
+        the lifecycle window) now, to every live follower as a frame,
+        delivered through :meth:`DistMvee.deliver`.
+
+        dMVX's copy-to-transfer-unit tax: the leader's critical path
+        pays the RB write plus the frame encode for every result it
+        ships — the term selective replication exists to shrink. A
+        ``coded`` payload also pays the codec scan over the raw bytes
+        when compression is on (the CPU side of the bytes-vs-CPU
+        trade)."""
         mvee = self.mvee
+        costs = self.node.kernel.config.costs
         src = self.node.index
-        self.node.mirror.put(vtid, seq, record, mvee.sim)
+        vtid = thread.vtid
+        frame = Frame(
+            T_SYSCALL_RESULT, src, vtid, seq, aux=result, payload=payload
+        )
+        encode_ns = costs.rb_write_base_ns + costs.dist_frame_cost_ns(frame.size())
+        if coded and mvee.dconfig.compress is not None and payload:
+            encode_ns += costs.dist_compress_cost_ns(len(payload))
+        yield Sleep(encode_ns, cpu=True)
+        record = RemoteRecord(result, payload, req.name)
+        self.node.mirror.put(vtid, seq, record, mvee.sim, own=True)
         if mvee.lifecycle is not None:
             mvee.lifecycle.record_result(vtid, seq, record)
         cls = sel.CLS_RESULT_PREFIX + cls
@@ -509,45 +390,43 @@ class DistInterceptor:
             mvee.land_records, src, [((vtid, seq), record)],
         )
 
-    def _follow_replicated(self, thread, req, seq, digest, cls, handler, view):
+    def _follow_replicated(
+        self, thread, req, seq, digest, cls, handler, view, replay
+    ):
         mvee, node = self.mvee, self.node
-        costs = node.kernel.config.costs
-        if node.index != mvee.leader_index:
+        if not replay and node.index != mvee.leader_index:
             yield from self._ship_digest(thread, req, seq, digest)
         # Same replica-local bookkeeping the leader does before
         # executing; a follower never executes this call, so the hook is
         # its only chance to record e.g. its own epoll data tags.
         handler.observe(view, req)
-
-        def adopt(record):
-            adopt_ns = (
-                costs.rb_read_base_ns + costs.rb_copy_ns(len(record.payload))
-            )
-            if mvee.dconfig.compress is not None and record.payload:
-                # Codec expansion happens on the adoption copy path.
-                adopt_ns += costs.dist_decompress_cost_ns(len(record.payload))
-            yield Sleep(adopt_ns, cpu=True)
-            handler.apply_results(view, req, record.result, record.payload)
-
         # Promoted mid-wait: the old leader died before shipping this
         # record and nobody holds it — execute as leader.
         result = yield from self._follow_mirror(
-            thread, req, seq, "no replicated result", adopt,
+            thread, req, seq, "no replicated result",
+            lambda record: handler.apply_results(
+                view, req, record.result, record.payload
+            ),
             lambda: self._lead_replicated(
                 thread, req, seq, digest, cls, handler, view
             ),
+            replay, coded=True,
         )
         return result
 
-    def _follow_mirror(self, thread, req, seq, what, adopt, promoted):
+    def _follow_mirror(self, thread, req, seq, what, apply, promoted, replay,
+                       coded=False):
         """A follower's wait for the leader's mirror record of one call,
-        shared by the replicated and external-accept lanes. ``adopt``
-        bills and applies the record; ``promoted`` runs the call instead
-        when this node became leader mid-wait. Past the stall timeout
-        the watchdog blames the leader (``what`` names the missing
-        result) and the wait goes on."""
+        shared by the replicated and external-accept lanes. The record
+        is adopted in its turn: the copy is billed (with the codec's
+        expansion when ``coded``; at ``lifecycle_replay_ns`` on a
+        ``replay``), then ``apply`` installs it. ``promoted`` runs the
+        call instead when this node became leader mid-wait. Past the
+        stall timeout the watchdog blames the leader (``what`` names the
+        missing result) and the wait goes on."""
         mvee, node = self.mvee, self.node
         sim = node.kernel.sim
+        costs = node.kernel.config.costs
         timeout = mvee.dconfig.stall_timeout_ns
         vtid = thread.vtid
         deadline = sim.now + timeout
@@ -555,9 +434,22 @@ class DistInterceptor:
         while True:
             record = node.mirror.get(vtid, seq)
             if record is not None:
-                yield from adopt(record)
+                turn = (STATE_RECORD, vtid, seq)
+                yield from self._claim_turn(thread, turn)
+                size = len(record.payload)
+                adopt_ns = costs.rb_read_base_ns + costs.rb_copy_ns(size)
+                if coded and size and mvee.dconfig.compress is not None:
+                    # Codec expansion happens on the adoption copy path.
+                    adopt_ns += costs.dist_decompress_cost_ns(size)
+                yield Sleep(costs.lifecycle_replay_ns if replay else adopt_ns,
+                            cpu=True)
+                apply(record)
                 node.mirror.consume(vtid, seq)
-                mvee.stats["adopted_results"] += 1
+                if replay:
+                    mvee.lifecycle.stats["replayed_records"] += 1
+                else:
+                    mvee.stats["adopted_results"] += 1
+                self._finish_turn(turn)
                 return record.result
             if mvee.shutting_down or node.process.exited or node.process.quarantined:
                 result = yield from mvee.park(thread)
@@ -592,17 +484,75 @@ class DistInterceptor:
         return min(backoff * 2, STALL_BACKOFF_MAX_NS)
 
     # -- rendezvous lane ---------------------------------------------------
-    def _rendezvous(self, thread, req, seq, digest):
+    def _rendezvous(self, thread, req, seq, digest, replay):
+        """Vote, then execute on agreement, in the verdict's turn. On a
+        ``replay`` the recorded verdict stands in for the vote, and the
+        node proves it would have voted with the cluster: the verdict
+        carries the round's canonical digest, which it recomputes from
+        its own canonical bytes, never the recorder's node-local
+        encoding (DESIGN.md §13)."""
         mvee, node = self.mvee, self.node
         costs = node.kernel.config.costs
-        verdict = yield from self._rendezvous_sync(thread, req, seq, digest)
+        vtid = thread.vtid
+        turn = (STATE_VERDICT, vtid, seq)
+        if replay:
+            verdict = node.mirror.verdict(vtid, seq)
+        else:
+            verdict = yield from self._rendezvous_sync(thread, req, seq, digest)
+        if verdict == 1:
+            yield from self._claim_turn(thread, turn)
+            if replay:
+                yield Sleep(costs.lifecycle_replay_ns, cpu=True)
+                mvee.lifecycle.stats["replayed_verdicts"] += 1
+                expected = node.mirror.verdict_digest(vtid, seq)
+                if expected:
+                    verdict = yield from self._verify(thread, req, expected)
+            else:
+                yield Sleep(
+                    costs.dist_rendezvous_service_ns + mvee.obs.dispatch_cost_ns,
+                    cpu=True,
+                )
         if verdict != 1:
+            self._finish_turn(turn)
             result = yield from mvee.park(thread)
             return result
-        yield Sleep(costs.dist_rendezvous_service_ns + mvee.obs.dispatch_cost_ns,
-                    cpu=True)
-        result = yield from node.kernel.invoke(thread, req)
+        try:
+            result = yield from node.kernel.invoke(thread, req)
+        except Exception:  # exit(2), exit_group(2): still pass the turn on
+            self._finish_turn(turn)
+            raise
+        self._finish_turn(turn)
         return result
+
+    def _verify(self, thread, req, expected):
+        """1 when this node's canonical digest of a replayed call is the
+        recorded verdict's ``expected`` one; else flag it and return 0."""
+        mvee, node = self.mvee, self.node
+        costs = node.kernel.config.costs
+        stats = mvee.lifecycle.stats
+        _, canonical = self._encode(req)
+        verify_ns = costs.compare_cost_ns(len(canonical), len(req.args))
+        if not node.profile.abi.canonical:
+            verify_ns += costs.canonical_cost_ns(len(canonical))
+        yield Sleep(verify_ns, cpu=True)
+        if call_digest(req.name, canonical) == expected:
+            stats["replayed_verified"] = stats.get("replayed_verified", 0) + 1
+            return 1
+        stats["replay_verify_failures"] = (
+            stats.get("replay_verify_failures", 0) + 1
+        )
+        mvee.divergence(
+            DivergenceReport(
+                mvee.sim.now,
+                thread.vtid,
+                req.name,
+                "replayed %s diverges from the recorded canonical verdict "
+                "digest on node %d" % (req.name, node.index),
+                detected_by="replay",
+                replica=node.index,
+            )
+        )
+        return 0
 
     def _rendezvous_sync(self, thread, req, seq, digest):
         """The lockstep half of a rendezvous: submit the argument digest
@@ -747,7 +697,7 @@ class DistInterceptor:
             backoff = yield from self._backoff_wait(thread, waitq, backoff, deadline)
 
     # -- external-service accept lane --------------------------------------
-    def _external_accept(self, thread, req, seq, digest):
+    def _external_accept(self, thread, req, seq, digest, replay):
         """accept(2) on an externally-reachable listener (repro.fleet).
 
         The call keeps the lockstep half of the rendezvous lane — every
@@ -759,18 +709,28 @@ class DistInterceptor:
         like a replicated result; followers adopt it by materialising an
         :class:`~repro.kernel.sockets.AdoptedSocket` at the same
         descriptor index, keeping fd numbering aligned for every later
-        call on the connection.
+        call on the connection. A ``replay`` adopts the recorded fd
+        without a vote.
         """
         mvee, node = self.mvee, self.node
         costs = node.kernel.config.costs
         vtid = thread.vtid
-        verdict = yield from self._rendezvous_sync(thread, req, seq, digest)
-        if verdict != 1:
-            result = yield from mvee.park(thread)
-            return result
-        yield Sleep(costs.dist_rendezvous_service_ns + mvee.obs.dispatch_cost_ns,
-                    cpu=True)
-        if node.index == mvee.leader_index:
+        if not replay:
+            verdict = yield from self._rendezvous_sync(thread, req, seq, digest)
+            if verdict != 1:
+                result = yield from mvee.park(thread)
+                return result
+            yield Sleep(
+                costs.dist_rendezvous_service_ns + mvee.obs.dispatch_cost_ns,
+                cpu=True,
+            )
+        if node.mirror.verdict(vtid, seq) is not None:
+            # Only the leader executes an accept: the verdict's turn
+            # orders nothing here and passes at once.
+            turn = (STATE_VERDICT, vtid, seq)
+            yield from self._claim_turn(thread, turn)
+            self._finish_turn(turn)
+        if not replay and node.index == mvee.leader_index:
             result = yield from node.kernel.invoke(thread, req)
             if not isinstance(result, int):
                 return result
@@ -779,23 +739,10 @@ class DistInterceptor:
                 payload = bytes(
                     node.process.space.read(req.arg(1), SOCKADDR_SIZE)
                 )
-            frame = Frame(
-                T_SYSCALL_RESULT, node.index, vtid, seq,
-                aux=result, payload=payload,
-            )
-            encode_ns = (
-                costs.rb_write_base_ns + costs.dist_frame_cost_ns(frame.size())
-            )
-            yield Sleep(encode_ns, cpu=True)
-            self._publish(vtid, seq, RemoteRecord(result, payload, req.name),
-                          frame, "sock")
+            yield from self._publish(thread, req, seq, result, payload, "sock")
             return result
         # Follower: wait for the leader's record, then adopt the fd.
         def adopt(record):
-            yield Sleep(
-                costs.rb_read_base_ns + costs.rb_copy_ns(len(record.payload)),
-                cpu=True,
-            )
             if record.result >= 0:
                 self._materialize_accept(thread, req, record)
 
@@ -806,6 +753,7 @@ class DistInterceptor:
         result = yield from self._follow_mirror(
             thread, req, seq, "no adopted accept result", adopt,
             lambda: node.kernel.invoke(thread, req),
+            replay,
         )
         return result
 

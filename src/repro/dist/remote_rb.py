@@ -16,9 +16,11 @@ distributed analogue of the RB surviving its writer.
 
 from __future__ import annotations
 
+from collections import deque
 from types import MappingProxyType
-from typing import Dict, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Set, Tuple
 
+from repro.dist.wire import STATE_RECORD, STATE_VERDICT
 from repro.kernel.waitq import WaitQueue
 
 Key = Tuple[int, int]  # (vtid, seq)
@@ -51,10 +53,16 @@ class RBMirror:
     Entries live for the whole run, and a flat map keyed by a fresh
     ``(vtid, seq)`` tuple kept one tuple alive per entry per map; lanes
     store only the small-int ``seq`` keys (DESIGN.md §8).
+
+    A rejoiner's mirror (``ordered``) logs ``(STATE_RECORD or
+    STATE_VERDICT, vtid, seq)`` as each artifact first lands, the one
+    order its lanes adopt in (DESIGN.md §13); ``order`` is None on every
+    other mirror, and once it drains past the rejoiner's frontier.
     """
 
-    def __init__(self, node_index: int):
+    def __init__(self, node_index: int, ordered: bool = False):
         self.node_index = node_index
+        self.order: Optional[Deque[tuple]] = deque() if ordered else None
         self.records: Dict[int, Dict[int, RemoteRecord]] = {}
         #: Adopted records; they stay in ``records`` for re-broadcast.
         self.consumed: Dict[int, Set[int]] = {}
@@ -71,7 +79,10 @@ class RBMirror:
         self.duplicates_dropped = 0
 
     # -- result records ----------------------------------------------------
-    def put(self, vtid: int, seq: int, record: RemoteRecord, sim=None) -> None:
+    def put(
+        self, vtid: int, seq: int, record: RemoteRecord, sim=None, own=False
+    ) -> None:
+        """Land ``record``; a leader's ``own`` record stays out of ``order``."""
         lane = self.records.get(vtid)
         if lane is None:
             lane = self.records[vtid] = {}
@@ -81,6 +92,8 @@ class RBMirror:
             return
         lane[seq] = record
         self.records_received += 1
+        if self.order is not None and not own:
+            self.order.append((STATE_RECORD, vtid, seq))
         if sim is not None:
             self.waitq.notify_all(sim)
 
@@ -126,6 +139,8 @@ class RBMirror:
                     digests = self.release_digests[vtid] = {}
                 digests[seq] = digest
             self.releases_received += 1
+            if self.order is not None:
+                self.order.append((STATE_VERDICT, vtid, seq))
         if sim is not None:
             self.waitq.notify_all(sim)
 
@@ -136,6 +151,34 @@ class RBMirror:
         """The canonical digest an agreed round was decided on (0 when
         unknown: pre-digest releases, or a diverged round)."""
         return self.release_digests.get(vtid, _NO_LANE).get(seq, 0)
+
+    # -- arrival order (repro.lifecycle re-admission) ----------------------
+    def prefill(self, entries, sim) -> None:
+        """Land the replay window's ``(kind, vtid, seq, artifact)``
+        entries in a rejoiner's mirror. The log becomes the window's
+        order, then the arrivals since the re-image it lacks."""
+        arrived = self.order
+        self.order = None
+        for kind, vtid, seq, artifact in entries:
+            if kind == STATE_RECORD:
+                self.put(vtid, seq, artifact, sim)
+            else:
+                verdict, digest = artifact
+                self.release(vtid, seq, verdict, sim, digest=digest)
+        order = deque((kind, vtid, seq) for kind, vtid, seq, _ in entries)
+        recorded = set(order)
+        order.extend(turn for turn in arrived if turn not in recorded)
+        self.order = order
+
+    def end_turn(self, turn: Tuple[int, int, int], keep: bool) -> None:
+        """``turn`` was adopted: drop it from the head of the log. A
+        drained log is dropped for good unless ``keep`` (the node is
+        still before its frontier)."""
+        order = self.order
+        if order and order[0] == turn:
+            order.popleft()
+        if not order and not keep:
+            self.order = None
 
     def wake(self, sim) -> None:
         """Wake any waiter (membership changed, shutdown, promotion)."""

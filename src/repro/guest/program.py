@@ -100,6 +100,10 @@ class Program:
             filesystem before the program starts.
     """
 
+    #: How strongly co-running replicas' memory pressure slows this
+    #: program (workloads set it; see ``CostModel``).
+    cache_sensitivity = 1.0
+
     def __init__(
         self,
         name: str,

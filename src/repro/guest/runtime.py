@@ -65,7 +65,7 @@ class GuestRuntime:
     def _make_ctx(self, thread) -> GuestContext:
         ctx = GuestContext(self.kernel, self.process, thread, self.program, self.layout)
         thread.guest_ctx = ctx
-        hook = getattr(self.process, "ctx_hook", None)
+        hook = self.process.ctx_hook
         if hook is not None:
             hook(ctx)
         return ctx
@@ -228,7 +228,7 @@ class GuestRuntime:
 
 def _kernel_thread_spawner(process, entry, arg):
     """Kernel callback: sys_clone lands here."""
-    runtime = getattr(process, "runtime", None)
+    runtime = process.runtime
     if runtime is None:
         raise GuestFault("clone() in a process without a runtime")
     return runtime.spawn_guest_thread(entry, arg)

@@ -19,10 +19,6 @@ from repro.kernel.vfs import OpenFileDescription
 from repro.kernel.waitq import wait_interruptible
 
 
-def _host_ip(thread) -> str:
-    return getattr(thread.process, "host_ip", "127.0.0.1")
-
-
 @syscall("socket")
 def sys_socket(kernel, thread, domain, type_, protocol=0):
     if domain not in (C.AF_INET, C.AF_UNIX):
@@ -30,7 +26,7 @@ def sys_socket(kernel, thread, domain, type_, protocol=0):
     base_type = type_ & ~(C.SOCK_NONBLOCK | C.SOCK_CLOEXEC)
     if base_type != C.SOCK_STREAM:
         return -E.EINVAL  # datagram sockets are out of scope
-    sock = StreamSocket(kernel, _host_ip(thread))
+    sock = StreamSocket(kernel, thread.process.host_ip)
     flags = C.O_RDWR
     if type_ & C.SOCK_NONBLOCK:
         flags |= C.O_NONBLOCK
@@ -48,7 +44,7 @@ def sys_bind(kernel, thread, fd, addr_ptr, addrlen):
         return -E.ENOTSOCK
     raw = thread.process.space.read(addr_ptr, SOCKADDR_SIZE)
     _family, ip, port = unpack_sockaddr(raw)
-    sock.local_addr = (ip if ip != "0.0.0.0" else _host_ip(thread), port)
+    sock.local_addr = (ip if ip != "0.0.0.0" else thread.process.host_ip, port)
     sock.requested_addr = (ip, port)
     return 0
 
@@ -69,7 +65,7 @@ def sys_listen(kernel, thread, fd, backlog=128):
     listener.local_addr = sock.local_addr
     listener.backlog_limit = max(1, backlog)
     listener.sockopts = dict(sock.sockopts)
-    bind_addr = getattr(sock, "requested_addr", sock.local_addr)
+    bind_addr = sock.requested_addr or sock.local_addr
     result = kernel.network.bind_listener(
         (bind_addr[0], sock.local_addr[1]), listener
     )
@@ -80,7 +76,7 @@ def sys_listen(kernel, thread, fd, backlog=128):
     old = entry.ofd.file
     entry.ofd.file = listener
     old.release()
-    ctl = getattr(kernel, "admission_control", None)
+    ctl = kernel.admission_control
     if ctl is not None:
         ctl.attach(listener)
     return 0

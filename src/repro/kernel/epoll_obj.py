@@ -41,9 +41,6 @@ class EpollInstance(FileObject):
             return 0
         return -E.EINVAL
 
-    def forget_fd(self, fd: int) -> None:
-        self.interest.pop(fd, None)
-
     def ready_events(self, kernel) -> List[Tuple[int, int, int]]:
         """Scan the interest list; returns [(fd, revents, data)]."""
         out = []

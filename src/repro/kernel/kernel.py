@@ -46,6 +46,11 @@ class KernelConfig:
 class Kernel:
     """Owns every simulated process and dispatches their system calls."""
 
+    #: Attached by other layers (None until they are): ReMon's IK-B,
+    #: and a fleet's admission control, which ``listen`` attaches.
+    ikb = None
+    admission_control = None
+
     def __init__(self, sim: Optional[Simulator] = None, config: Optional[KernelConfig] = None,
                  network: Optional[Network] = None):
         self.config = config or KernelConfig()
@@ -159,7 +164,7 @@ class Kernel:
         # monitored, lockstepped call), which is how the MVEE pairs
         # threads across replicas.
         thread.vtid = len(process.threads)
-        thread.tracer = getattr(process, "tracer", None)
+        thread.tracer = process.tracer
         process.threads[tid] = thread
         self.threads[tid] = thread
         return thread

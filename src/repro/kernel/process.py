@@ -100,6 +100,14 @@ class PendingSignal:
 class Process:
     """A simulated process: address space + fd table + threads + signals."""
 
+    #: Attached by other layers (ptrace, the guest runtime, ReMon's
+    #: context hook, IP-MON, VARAN); None until they are.
+    tracer = None
+    runtime = None
+    ctx_hook = None
+    ipmon_replica = None
+    varan = None
+
     def __init__(
         self,
         kernel,

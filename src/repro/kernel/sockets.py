@@ -290,6 +290,8 @@ class StreamSocket(FileObject):
     """One endpoint of a connected (or connecting) stream."""
 
     kind = "sock"
+    #: The address ``bind`` asked for (its IP may be the wildcard).
+    requested_addr: Optional[Address] = None
 
     def __init__(self, kernel, host_ip: str, name: str = "sock"):
         super().__init__(name)

@@ -12,11 +12,11 @@ The manager owns three loops, all on the cluster's virtual clock:
   When a slot is quarantined (and rejoin is on), the manager waits a
   provision delay, re-images the slot with a fresh kernel/process at
   the same layout and address, ships the recorded window as billed
-  ``T_LIFECYCLE_STATE`` frames, and boots the replacement in *replay
-  mode*: it adopts recorded artifacts at ``lifecycle_replay_ns`` each
-  (rr-style: no digests, no round trips) until it misses one — the
-  live frontier — at which point it is re-admitted under a bumped
-  ownership epoch and votes like everyone else.
+  ``T_LIFECYCLE_STATE`` frames, and boots the replacement: it adopts
+  its pre-filled mirror in arrival order at ``lifecycle_replay_ns``
+  each (rr-style: no digests, no round trips) until it misses an
+  artifact — the live frontier — at which point it is re-admitted
+  under a bumped ownership epoch and votes like everyone else.
 * **drift watchdog** — a periodic tick sampling the always-on wait
   histograms and the open rendezvous rounds; sustained p99 drift
   scales the shard count, and a node that keeps whole rounds open is
@@ -47,7 +47,7 @@ from repro.dist.wire import (
 )
 from repro.lifecycle.autoscale import DriftWatchdog
 from repro.lifecycle.config import LifecycleConfig
-from repro.lifecycle.window import RECORD, ReplayWindow
+from repro.lifecycle.window import ReplayWindow
 
 
 class LifecycleManager:
@@ -277,7 +277,7 @@ class LifecycleManager:
         leader = mvee.leader_index
         sends = []
         for kind, vtid, seq, artifact in entries:
-            if kind == RECORD:
+            if kind == STATE_RECORD:
                 frame = Frame(
                     T_LIFECYCLE_STATE, leader, vtid, seq,
                     aux=artifact.result,
@@ -303,20 +303,9 @@ class LifecycleManager:
     def _boot_replacement(self, node, entries) -> None:
         if self._halted():
             return
-        sim = self.sim
-        for kind, vtid, seq, artifact in entries:
-            if kind == RECORD:
-                node.mirror.put(vtid, seq, artifact, sim)
-            else:
-                verdict, digest = artifact
-                node.mirror.release(vtid, seq, verdict, sim, digest=digest)
-        # The window is a totally ordered log: the replaying interceptor
-        # adopts entries in this exact order so shared-namespace
-        # allocation (fd numbers) interleaves as recorded (§13).
-        node.replay_plan = [
-            (kind, vtid, seq) for kind, vtid, seq, _ in entries
-        ]
-        node.replay_cursor = 0
+        # The window's order, then the arrivals since the re-image, is
+        # the one order the replacement adopts in (DESIGN.md §13).
+        node.mirror.prefill(entries, self.sim)
         self.stats["rejoins_started"] += 1
         obs = self.mvee.obs
         if obs.tracer.enabled:

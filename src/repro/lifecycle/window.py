@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-#: Window entry kinds (match wire.STATE_VERDICT / wire.STATE_RECORD).
-VERDICT = 0
-RECORD = 1
+from repro.dist.wire import STATE_RECORD, STATE_VERDICT
 
 
 class ReplayWindow:
@@ -31,7 +29,8 @@ class ReplayWindow:
 
     def __init__(self, limit: int):
         self.limit = limit
-        #: (kind, vtid, seq, artifact): artifact is a (verdict,
+        #: (kind, vtid, seq, artifact): kind is a ``wire.STATE_*``; the
+        #: artifact is a (verdict,
         #: canonical-digest) pair or the RemoteRecord, in recorded
         #: (= release/put) order.
         self.entries: List[Tuple[int, int, int, object]] = []
@@ -53,7 +52,7 @@ class ReplayWindow:
     def record(self, vtid: int, seq: int, record) -> None:
         """A leader-replicated result entered the mirrors."""
         self.records += 1
-        self._push(RECORD, vtid, seq, record)
+        self._push(STATE_RECORD, vtid, seq, record)
 
     def release(self, vtid: int, seq: int, verdict: int, digest: int = 0) -> None:
         """A rendezvous verdict was released to every node. ``digest``
@@ -61,7 +60,7 @@ class ReplayWindow:
         replayed re-admissions verify their own canonical bytes against
         it instead of trusting the bare verdict (DESIGN.md §13)."""
         self.verdicts += 1
-        self._push(VERDICT, vtid, seq, (verdict, digest))
+        self._push(STATE_VERDICT, vtid, seq, (verdict, digest))
 
     def snapshot(self) -> List[Tuple[int, int, int, object]]:
         """The window as of now, in recorded order (ship this)."""

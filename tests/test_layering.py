@@ -19,6 +19,12 @@ Every cross-node effect goes through ``DistMvee.deliver`` (DESIGN.md
 it computes a delivery instant from ``RELEASE_SLACK_NS``, when a node
 schedules an event itself, or when a mirror is written outside the
 delivered effects.
+
+A rejoiner adopts its mirror in one arrival order through the live
+lanes (DESIGN.md §13); the last three checks fail when a second replay
+plan or replay mode comes back, when ``dist/node.py`` tests for the
+live frontier in more than one place, or when a mirror's order log is
+written outside ``RBMirror`` and the rejoiner's boot.
 """
 
 from __future__ import annotations
@@ -197,7 +203,7 @@ def test_mirrors_are_written_only_by_deliveries():
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("put", "release")
+                and node.func.attr in ("put", "release", "prefill")
                 and isinstance(node.func.value, ast.Attribute)
                 and node.func.value.attr == "mirror"
             ):
@@ -211,4 +217,73 @@ def test_mirrors_are_written_only_by_deliveries():
                     path.relative_to(SRC).as_posix(), node.lineno,
                     ast.unparse(node),
                 ))
+    assert found == []
+
+
+def test_one_replay_order():
+    found = [
+        "%s %s" % (path.relative_to(SRC).as_posix(), name)
+        for path in sorted(SRC.rglob("*.py"))
+        for name in ("replay_plan", "replay_cursor", ".replaying")
+        if name in path.read_text()
+    ]
+    assert found == []
+
+
+def test_one_frontier_test():
+    path = SRC / "dist" / "node.py"
+    calls = [
+        "node.py:%d %s" % (node.lineno, ast.unparse(node))
+        for node, _scope in _scoped(path)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "reach_frontier"
+    ]
+    assert len(calls) == 1, calls
+
+
+_ORDER_MUTATORS = frozenset({
+    "append", "appendleft", "extend", "extendleft", "insert", "pop",
+    "popleft", "remove", "clear", "rotate",
+})
+_ORDER_WRITERS = ("RBMirror.", "LifecycleManager._boot_replacement")
+
+
+def _order_writes(path: Path):
+    """Writes to a mirror's ``order`` log: stores and deletes of the
+    attribute or an item of it, calls of its mutating methods, and
+    aliases that would let a later line mutate it unseen."""
+    for node, scope in _scoped(path):
+        log = None
+        if isinstance(node, ast.Attribute) and isinstance(
+            node.ctx, (ast.Store, ast.Del)
+        ):
+            log = node
+        elif isinstance(node, ast.Subscript) and isinstance(
+            node.ctx, (ast.Store, ast.Del)
+        ):
+            log = node.value
+        elif isinstance(node, ast.Call) and isinstance(
+            node.func, ast.Attribute
+        ) and node.func.attr in _ORDER_MUTATORS:
+            log = node.func.value
+        elif isinstance(node, ast.Assign):
+            log = node.value
+        if not (isinstance(log, ast.Attribute) and log.attr == "order"):
+            continue
+        receiver = ast.unparse(log.value)
+        if not (receiver.endswith("mirror") or (
+            receiver == "self" and scope.startswith("RBMirror.")
+        )):
+            continue
+        if not scope.startswith(_ORDER_WRITERS):
+            yield "%s:%d %s" % (
+                path.relative_to(SRC).as_posix(), node.lineno, ast.unparse(node)
+            )
+
+
+def test_order_log_is_written_only_by_the_mirror_and_the_boot():
+    found = [
+        hit for path in sorted(SRC.rglob("*.py")) for hit in _order_writes(path)
+    ]
     assert found == []
