@@ -95,7 +95,9 @@ class ArgBlob:
         return "ArgBlob(%s, %d items, %d bytes)" % (self.name, len(self.items), self.nbytes)
 
 
-def _resolve_length(length_source, args, result: Optional[int] = None) -> int:
+def resolve_length(length_source, args, result: Optional[int] = None) -> int:
+    """Byte length of a buffer argument from its spec's length source:
+    a fixed size, another argument's value, or the call's result."""
     kind, value = length_source
     if kind == "fixed":
         return value
@@ -150,7 +152,7 @@ def serialize_args(
                 if not value:
                     append(("buf", b""))
                 else:
-                    length = _resolve_length(arg_spec.length, args)
+                    length = resolve_length(arg_spec.length, args)
                     data = space.read(int(value), length) if length else b""
                     append(("buf", data))
                     nbytes += len(data)

@@ -86,6 +86,11 @@ SHM_NAMES = frozenset({"shmget", "shmat", "shmdt", "shmctl"})
 
 _READ_FAMILY = frozenset({"read", "readv", "pread64", "preadv"})
 
+#: Stall watchdog under a DegradationPolicy: re-arm this many times,
+#: doubling the timeout up to the cap, before declaring laggards faulted.
+STALL_BACKOFF_ATTEMPTS = 3
+STALL_BACKOFF_MAX_NS = 8_000_000_000
+
 
 def _scrub_maps(content: bytes) -> bytes:
     """/proc/<pid>/maps content without IP-MON's hidden mappings (§3.1)."""
@@ -193,14 +198,14 @@ class LockstepContext:
                 return
             if len(self.entry_stops) >= ghumvee.live_replica_count():
                 return
-            if policy is not None and attempt + 1 < policy.stall_backoff_attempts:
+            if policy is not None and attempt + 1 < STALL_BACKOFF_ATTEMPTS:
                 # Bounded exponential backoff: give genuinely slow
                 # replicas a doubled window before declaring a stall.
                 ghumvee.stats["rendezvous_backoff_retries"] += 1
                 self._arm_stall_watchdog(
                     stop,
                     attempt=attempt + 1,
-                    timeout_ns=min(timeout_ns * 2, policy.stall_backoff_max_ns),
+                    timeout_ns=min(timeout_ns * 2, STALL_BACKOFF_MAX_NS),
                 )
                 return
             arrived = sorted(self.entry_stops)
@@ -590,8 +595,9 @@ class LockstepContext:
         entry = master_process.fdtable.get(fd)
         kind = entry.ofd.file.kind if entry is not None else "reg"
         nonblocking = entry.ofd.nonblocking if entry is not None else False
-        special = getattr(entry.ofd.file, "proc_entry", None) is not None if entry else False
-        if special and getattr(entry.ofd.file, "proc_entry", ("",))[0] == "maps":
+        proc_entry = entry.ofd.file.proc_entry if entry is not None else None
+        special = proc_entry is not None
+        if special and proc_entry[0] == "maps":
             # §3.1: scrub IP-MON's hidden mappings from the snapshot the
             # replica is about to read.
             node = entry.ofd.file

@@ -31,6 +31,7 @@ from __future__ import annotations
 import struct
 from typing import Dict
 
+from repro.core.comparator import resolve_length
 from repro.core.policies import (
     RelaxationPolicy,
     SAFE_FCNTL_CMDS,
@@ -134,7 +135,7 @@ class IpmonHandler:
                 except MemoryFault:
                     total += 4
             else:
-                total += 4 + _resolve(arg_spec.length, req.args)
+                total += 4 + resolve_length(arg_spec.length, req.args)
         return total
 
     # ------------------------------------------------------------------
@@ -229,7 +230,7 @@ class IpmonHandler:
         return struct.pack("<I", len(new)) + new, len(new)
 
     def _valid_length(self, arg_spec, args, result: int) -> int:
-        maxlen = _resolve(arg_spec.length, args)
+        maxlen = resolve_length(arg_spec.length, args)
         valid_src = getattr(arg_spec, "valid", None)
         if valid_src is None:
             return maxlen
@@ -241,15 +242,6 @@ class IpmonHandler:
         if kind == "arg":
             return min(maxlen, max(0, int(args[value]))) if value < len(args) else maxlen
         return maxlen
-
-
-def _resolve(length_source, args) -> int:
-    kind, value = length_source
-    if kind == "fixed":
-        return value
-    if kind == "arg":
-        return max(0, int(args[value])) if value < len(args) else 0
-    return 0
 
 
 # ---------------------------------------------------------------------------

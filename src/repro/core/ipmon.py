@@ -44,6 +44,12 @@ from repro.sim import Sleep
 #: even for calls predicted not to block.
 SPIN_LIMIT = 64
 
+#: RB waits under a DegradationPolicy back off exponentially; a peer
+#: that makes no progress for RB_WAIT_TIMEOUT_NS is declared faulted.
+RB_BACKOFF_INITIAL_NS = 2_000_000
+RB_BACKOFF_MAX_NS = 64_000_000
+RB_WAIT_TIMEOUT_NS = 1_000_000_000
+
 #: Region offset of the signals-pending flag GHUMVEE sets (§3.8). The
 #: lanes start after this reserved header.
 SIGNALS_PENDING_OFFSET = 0
@@ -367,7 +373,7 @@ class IpmonReplica:
         # with a no-progress deadline, after which the most-lagged slave
         # is reported as stalled (and possibly quarantined).
         policy = group.remon.config.degradation
-        backoff = policy.rb_backoff_initial_ns if policy is not None else 0
+        backoff = RB_BACKOFF_INITIAL_NS if policy is not None else 0
         waited = 0
         last_progress = min(lane.consumed.values()) if lane.consumed else 0
         obs = group.obs
@@ -397,8 +403,8 @@ class IpmonReplica:
                     waited = 0
                 else:
                     waited += backoff
-                backoff = min(backoff * 2, policy.rb_backoff_max_ns)
-                if waited >= policy.rb_wait_timeout_ns:
+                backoff = min(backoff * 2, RB_BACKOFF_MAX_NS)
+                if waited >= RB_WAIT_TIMEOUT_NS:
                     self._lane_stall(thread, req, lane)
                     waited = 0
                     last_progress = (
@@ -547,7 +553,7 @@ class IpmonReplica:
         # stalled; a promotion observed mid-wait re-roles this replica.
         group.rb.attach_slave_to_lane(lane, self.replica_index)
         policy = group.remon.config.degradation
-        backoff = policy.rb_backoff_initial_ns if policy is not None else 0
+        backoff = RB_BACKOFF_INITIAL_NS if policy is not None else 0
         waited = 0
         remon_group = group.remon.group
         while True:
@@ -574,8 +580,8 @@ class IpmonReplica:
                 lane.args_waitq.unregister(event)
                 group.stats["rb_backoff_retries"] += 1
                 waited += backoff
-                backoff = min(backoff * 2, policy.rb_backoff_max_ns)
-                if waited >= policy.rb_wait_timeout_ns:
+                backoff = min(backoff * 2, RB_BACKOFF_MAX_NS)
+                if waited >= RB_WAIT_TIMEOUT_NS:
                     self._master_stall(thread, req, lane)
                     waited = 0
 
@@ -674,7 +680,7 @@ class IpmonReplica:
         policy = group.remon.config.degradation
         may_block = bool(flags & FLAG_MAY_BLOCK)
         use_futex = may_block and not group.force_spin
-        backoff = policy.rb_backoff_initial_ns if policy is not None else 0
+        backoff = RB_BACKOFF_INITIAL_NS if policy is not None else 0
         waited = 0
         while True:
             state = record.words()[0]
@@ -715,8 +721,8 @@ class IpmonReplica:
             if result == -E.ETIMEDOUT:
                 group.stats["rb_backoff_retries"] += 1
                 waited += backoff
-                backoff = min(backoff * 2, policy.rb_backoff_max_ns)
-                if waited >= policy.rb_wait_timeout_ns:
+                backoff = min(backoff * 2, RB_BACKOFF_MAX_NS)
+                if waited >= RB_WAIT_TIMEOUT_NS:
                     self._master_stall(thread, req, record.lane)
                     waited = 0
                 continue

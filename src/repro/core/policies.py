@@ -240,16 +240,6 @@ class DegradationPolicy:
     #: in-flight IP-MON call (a benign fault under DMON's fault model;
     #: slightly weakens §3.1's single-issue property, see DESIGN.md).
     reissue_lost_tokens: bool = True
-    #: Rendezvous stall watchdog: re-arm with doubled timeout this many
-    #: times before declaring the laggards faulted.
-    stall_backoff_attempts: int = 3
-    stall_backoff_max_ns: int = 8_000_000_000
-    #: RB slot acquisition / record waits: bounded exponential backoff.
-    rb_backoff_initial_ns: int = 2_000_000
-    rb_backoff_max_ns: int = 64_000_000
-    #: Total time a replica may wait on an RB peer with no progress
-    #: before the peer is declared faulted.
-    rb_wait_timeout_ns: int = 1_000_000_000
 
     def __post_init__(self):
         if self.min_quorum < 1:

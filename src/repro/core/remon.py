@@ -297,7 +297,7 @@ class ReMon(Supervisor):
             and not policy.promote_master
         ):
             return False
-        return len(self._survivors_excluding(process)) >= policy.min_quorum
+        return len(self.group.survivors(exclude=process)) >= policy.min_quorum
 
     def _release(self, index: int, was_master: bool,
                  report: DivergenceReport) -> None:

@@ -30,11 +30,12 @@ class ReplicaGroup:
     def master(self):
         return self.processes[self.master_index]
 
-    def survivors(self):
+    def survivors(self, exclude=None):
+        """Live, unquarantined processes in index order, less ``exclude``."""
         return [
             p
             for p in self.processes
-            if not p.exited and not p.quarantined
+            if p is not exclude and not p.exited and not p.quarantined
         ]
 
     def all_exited(self) -> bool:
@@ -150,13 +151,6 @@ class Supervisor:
     # ------------------------------------------------------------------
     # Graceful degradation (config.degradation)
     # ------------------------------------------------------------------
-    def _survivors_excluding(self, process) -> List:
-        return [
-            p
-            for p in self.group.processes
-            if p is not process and not p.exited and not p.quarantined
-        ]
-
     def replica_fault(self, process, report: DivergenceReport) -> None:
         """A replica crashed, stalled or lost its link. Quarantine it
         when the policy classifies the fault benign and quorum holds;
@@ -167,7 +161,7 @@ class Supervisor:
         if policy is None or policy.classify(report) != "benign":
             self.divergence(report)
             return
-        survivors = self._survivors_excluding(process)
+        survivors = self.group.survivors(exclude=process)
         if len(survivors) < policy.min_quorum:
             report.detail += " [quorum lost: %d survivors < min_quorum %d]" % (
                 len(survivors),

@@ -81,7 +81,6 @@ from repro.dist.wire import (
     T_ROUND_RESUBMIT,
     T_SHARD_HANDOFF,
     T_SYSCALL_RESULT,
-    decode_batch,
     decode_frame,
     encode_batch,
     encode_frame,
@@ -147,7 +146,6 @@ __all__ = [
     "T_ROUND_RESUBMIT",
     "T_SHARD_HANDOFF",
     "T_SYSCALL_RESULT",
-    "decode_batch",
     "decode_frame",
     "encode_batch",
     "encode_frame",

@@ -754,8 +754,8 @@ class DistMvee(Supervisor):
         self.transport.obs = self.obs
         self.transport.dispatch = self._dispatch
         self.transport.stale_filter = self._stale_frame
-        if self.network.lossy():
-            self._enable_reliable_transport()
+        self.transport.on_link_down = self._on_link_down
+        self.transport.on_link_up = self._on_link_up
 
     def image(self, node: Node, name: str) -> None:
         """(Re-)image ``node``'s slot with process ``name``: a fresh
@@ -812,16 +812,6 @@ class DistMvee(Supervisor):
             lambda code, n=node: self._on_node_exit(n, code)
         )
 
-    def _enable_reliable_transport(self) -> None:
-        """Switch the monitor transport to sequenced/acked/retransmitted
-        batches, with per-link circuit breakers wired into the soft
-        degradation path. Idempotent; must run before any traffic."""
-        if self.transport.reliable:
-            return
-        self.transport.enable_reliable()
-        self.transport.on_link_down = self._on_link_down
-        self.transport.on_link_up = self._on_link_up
-
     def attach_faults(self, injector) -> object:
         """Install a :class:`repro.faults.FaultInjector` cluster-wide:
         timed faults are scheduled on the shared clock; each node's
@@ -831,13 +821,6 @@ class DistMvee(Supervisor):
         for node in self.nodes:
             node.kernel.fault_injector = injector
         injector.bind_mvee(self)
-        # A plan that will degrade a link mid-run needs the reliable
-        # transport armed from the start (it cannot switch header
-        # formats once traffic has flowed).
-        from repro.faults import LinkDegradeFault
-
-        if any(isinstance(f, LinkDegradeFault) for f in injector.plan):
-            self._enable_reliable_transport()
         return injector
 
     def degrade_link(self, fault) -> bool:
@@ -900,7 +883,8 @@ class DistMvee(Supervisor):
             )
             for peer in self.live_peers(leader):
                 self.send_frame(
-                    leader, peer, announce, cls=CLS_HANDOFF, urgent=True
+                    leader, peer.replica_index, announce, cls=CLS_HANDOFF,
+                    urgent=True,
                 )
             if dead is not None:
                 self.monitor.begin_handoff(dead, owners)
@@ -948,14 +932,10 @@ class DistMvee(Supervisor):
             out.append(node.index)
         return tuple(out)
 
-    def live_peers(self, exclude: int) -> List[int]:
-        return [
-            node.index
-            for node in self.nodes
-            if node.index != exclude
-            and not node.process.exited
-            and not node.process.quarantined
-        ]
+    def live_peers(self, exclude: int) -> List:
+        """The live processes of every node but ``exclude``; a peer's
+        ``replica_index`` is its node index."""
+        return self.group.survivors(exclude=self.group.processes[exclude])
 
     def shard_owners(self) -> Tuple[int, ...]:
         """The nodes currently eligible to own rendezvous rounds.
@@ -1048,7 +1028,7 @@ class DistMvee(Supervisor):
         sim = self.sim
         for (vtid, seq), record in records:
             for peer in self.live_peers(src):
-                self.nodes[peer].mirror.put(vtid, seq, record, sim)
+                self.nodes[peer.replica_index].mirror.put(vtid, seq, record, sim)
 
     def _stale_frame(self, dst: int, frame: Frame) -> bool:
         """Epoch gate, checked by the transport before dispatch.
@@ -1110,6 +1090,15 @@ class DistMvee(Supervisor):
         if self._started:
             return
         self._started = True
+        # The transport's mode is fixed before the first frame: a lossy
+        # network, or a planned link degrade, needs acked batches.
+        from repro.faults import LinkDegradeFault
+
+        plan = self.fault_injector.plan if self.fault_injector else ()
+        if self.network.lossy() or any(
+            isinstance(f, LinkDegradeFault) for f in plan
+        ):
+            self.transport.enable_reliable()
         for node in self.nodes:
             node.runtime.start()
         if self.lifecycle is not None:
@@ -1168,6 +1157,8 @@ class DistMvee(Supervisor):
 
     def _on_node_exit(self, node: Node, code) -> None:
         code = code if isinstance(code, int) else (node.process.exit_code or 0)
+        if code < 128 and self.lifecycle is not None:
+            self.lifecycle.on_clean_exit(node)
         # A killed or crashed leader does not fix the wall time: its
         # successor's clean exit does (or, on fail-stop, the last event).
         self._replica_exited(node.process, sets_wall_time=code < 128)
@@ -1347,7 +1338,7 @@ class DistMvee(Supervisor):
         rebroadcast = sorted(self.nodes[new_index].mirror.unconsumed().items())
         if not rebroadcast:
             return
-        peers = self.live_peers(new_index)
+        peers = [peer.replica_index for peer in self.live_peers(new_index)]
         frames = [
             Frame(T_SYSCALL_RESULT, new_index, vtid, seq,
                   aux=record.result, payload=record.payload)

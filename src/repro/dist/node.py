@@ -386,7 +386,8 @@ class DistInterceptor:
             mvee.lifecycle.record_result(vtid, seq, record)
         cls = sel.CLS_RESULT_PREFIX + cls
         mvee.deliver(
-            [(src, peer, frame, cls, False) for peer in mvee.live_peers(src)],
+            [(src, peer.replica_index, frame, cls, False)
+             for peer in mvee.live_peers(src)],
             mvee.land_records, src, [((vtid, seq), record)],
         )
 

@@ -29,6 +29,7 @@ like a CRC-damaged frame.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dist.codec import TAG_NAMES, PayloadDict, decode_payload, encode_payload
@@ -47,9 +48,7 @@ from repro.dist.wire import (
     T_CONTROL,
     T_SYSCALL_RESULT,
     batch_frame_count,
-    decode_batch,
     encode_batch,
-    encode_reliable_batch,
     parse_batch,
 )
 from repro.errors import WireError
@@ -105,7 +104,11 @@ class Channel:
 
 
 class Transport:
-    """All monitor channels of one cluster, sharing a Network."""
+    """All monitor channels of one cluster, sharing a Network.
+
+    Every batch, in either mode, takes one pipeline: ``_flush`` ->
+    ``_ship`` -> ``_transmit`` -> ``_receive`` -> dispatch. The mode is
+    fixed before the first frame (:meth:`enable_reliable`)."""
 
     def __init__(self, sim, network, addresses: List[Address], costs,
                  batch_bytes: int = 4096, flush_interval_ns: int = 50_000,
@@ -159,9 +162,12 @@ class Transport:
         self.reliable = False
         self.retransmit_policy: Optional[RetransmitPolicy] = None
         self.window_size = 32
-        self._send_windows: Dict[Tuple[int, int], SenderWindow] = {}
-        self._recv_windows: Dict[Tuple[int, int], ReceiverWindow] = {}
-        self._breakers: Dict[Tuple[int, int], CircuitBreaker] = {}
+        #: Per directed pair, made on first use (``get`` never makes one).
+        self._send_windows = defaultdict(
+            lambda: SenderWindow(self.window_size)
+        )
+        self._recv_windows = defaultdict(ReceiverWindow)
+        self._breakers = defaultdict(CircuitBreaker)
         self._links_down: set = set()
         self._breaker_spans: Dict[Tuple[int, int], object] = {}
         #: Installed by the cluster: called with (src, dst) when a
@@ -395,10 +401,29 @@ class Transport:
         # are exactly the bytes encode_batch produces (header aside).
         pending_bytes, channel.pending_bytes = channel.pending_bytes, 0
         if self.reliable:
-            self._flush_reliable(channel, frames, pending_bytes)
-            return
-        data = encode_batch(frames)
-        assert len(data) == BATCH_HEADER_SIZE + pending_bytes, (
+            window = self._send_windows[(channel.src, channel.dst)]
+            if not window.can_send():
+                # Window full (or a backlog already waits): FIFO-defer
+                # the whole batch; it ships as acks advance the window.
+                window.defer(frames, pending_bytes)
+                self._bump("window_stalls")
+                return
+        self._ship(channel, frames, pending_bytes)
+
+    def _ship(self, channel: Channel, frames: List[Frame],
+              pending_bytes: int) -> None:
+        """Encode, bill and trace one batch and serialize its departure;
+        when reliable, also sequence it, piggyback the reverse ack,
+        register it in the send window and arm its retransmit timer."""
+        key = (channel.src, channel.dst)
+        seq, ack, header = None, 0, BATCH_HEADER_SIZE
+        if self.reliable:
+            window = self._send_windows[key]
+            reverse = self._recv_windows.get((channel.dst, channel.src))
+            ack = reverse.cumulative_ack if reverse is not None else 0
+            seq, header = window.next_seq, RBATCH_HEADER_SIZE
+        data = encode_batch(frames, seq, ack)
+        assert len(data) == header + pending_bytes, (
             "frame byte accounting diverged from encoded batch size"
         )
         self.stats["messages_sent"] += 1
@@ -407,28 +432,36 @@ class Transport:
             self.obs.tracer.instant(
                 "transport", "flush", src=channel.src, dst=channel.dst,
                 nbytes=len(data), frames=len(frames),
+                **({} if seq is None else {"seq": seq}),
             )
-        src_addr = self.addresses[channel.src]
-        dst_addr = self.addresses[channel.dst]
-        dst = channel.dst
         # The sender-side per-message CPU cost is folded into delivery
         # time (the sending thread is not blocked on it: a kernel worker
         # does the pushing in the systems we model). Departures are
         # serialized per channel so batches never overtake each other.
         send_cost = self.costs.dist_message_cost_ns(len(data))
-
-        def _transmit():
-            self.network.transmit(
-                self.sim, src_addr, dst_addr, len(data), self._deliver, dst, data
-            )
-
         depart = max(self.sim.now + send_cost, channel.next_depart)
         channel.next_depart = depart
-        self.sim.call_at(depart, _transmit)
+        self.sim.call_at(depart, self._transmit, key, data)
+        if seq is not None:
+            window.register(data, len(data), depart)
+            self.sim.call_at(
+                depart + self.retransmit_policy.timeout_for(0),
+                self._retransmit_check, key, seq,
+            )
 
-    def _deliver(self, dst: int, data: bytes) -> None:
+    def _transmit(self, key: Tuple[int, int], data: bytes) -> None:
+        """Put one batch on the wire: fresh, retransmitted or an ack."""
+        src, dst = key
+        self.network.transmit(
+            self.sim, self.addresses[src], self.addresses[dst], len(data),
+            self._receive, src, dst, data,
+        )
+
+    def _receive(self, src: int, dst: int, data: bytes) -> None:
         try:
-            frames = decode_batch(data)
+            frames, seq, ack = parse_batch(data)
+            if seq is not None and not self.reliable:
+                raise WireError("sequenced batch on a loss-free transport")
         except WireError:
             # A damaged transfer unit is a transmission fault: count and
             # drop it rather than act on its contents — but account the
@@ -438,7 +471,28 @@ class Transport:
             count = batch_frame_count(data)
             self._drop_frames("undecodable", count if count is not None else 1)
             return
-        self._dispatch_frames(dst, frames)
+        if ack:
+            # The ack acknowledges the reverse channel: traffic this
+            # node (dst) sent towards the batch's sender (src).
+            self._apply_ack((dst, src), ack)
+        if not seq:
+            # An unsequenced batch (loss-free, or a pure ack with seq
+            # 0): nothing to order or re-ack.
+            self._dispatch_frames(dst, frames)
+            return
+        key = (src, dst)
+        window = self._recv_windows[key]
+        dups, ooo = window.dups, window.ooo
+        ready = window.accept(seq, frames)
+        if window.dups > dups:
+            self._bump("dup_batches_dropped")
+        if window.ooo > ooo:
+            self._bump("ooo_batches")
+        for batch_frames in ready:
+            self._dispatch_frames(dst, batch_frames)
+        # Ack every sequenced arrival, duplicates included — a dup means
+        # the sender retransmitted, likely because our last ack was lost.
+        self._send_ack(dst, src)
 
     def _dispatch_frames(self, dst: int, frames: List[Frame]) -> None:
         if self.dispatch is None:
@@ -458,72 +512,8 @@ class Transport:
             self.dispatch(dst, decoded)
 
     # ------------------------------------------------------------------
-    # Reliable path: seq/ack window, retransmit timers, circuit breaker
+    # Reliable mode: seq/ack window, retransmit timers, circuit breaker
     # ------------------------------------------------------------------
-    def _send_window(self, key: Tuple[int, int]) -> SenderWindow:
-        window = self._send_windows.get(key)
-        if window is None:
-            window = self._send_windows[key] = SenderWindow(self.window_size)
-        return window
-
-    def _recv_window(self, key: Tuple[int, int]) -> ReceiverWindow:
-        window = self._recv_windows.get(key)
-        if window is None:
-            window = self._recv_windows[key] = ReceiverWindow()
-        return window
-
-    def _breaker(self, key: Tuple[int, int]) -> CircuitBreaker:
-        breaker = self._breakers.get(key)
-        if breaker is None:
-            breaker = self._breakers[key] = CircuitBreaker()
-        return breaker
-
-    def _flush_reliable(self, channel: Channel, frames: List[Frame],
-                        pending_bytes: int) -> None:
-        key = (channel.src, channel.dst)
-        window = self._send_window(key)
-        if not window.can_send():
-            # Window full (or a backlog already waits): FIFO-defer the
-            # whole batch; it ships as acks advance the window.
-            window.defer(frames, pending_bytes)
-            self._bump("window_stalls")
-            return
-        self._send_sequenced(key, channel, frames, pending_bytes)
-
-    def _send_sequenced(self, key: Tuple[int, int], channel: Channel,
-                        frames: List[Frame], pending_bytes: int) -> None:
-        window = self._send_window(key)
-        reverse = self._recv_windows.get((channel.dst, channel.src))
-        ack = reverse.cumulative_ack if reverse is not None else 0
-        seq = window.next_seq
-        data = encode_reliable_batch(frames, seq, ack)
-        assert len(data) == RBATCH_HEADER_SIZE + pending_bytes, (
-            "frame byte accounting diverged from encoded batch size"
-        )
-        self.stats["messages_sent"] += 1
-        self.stats["wire_bytes"] += len(data)
-        if self.obs is not None and self.obs.tracer.enabled:
-            self.obs.tracer.instant(
-                "transport", "flush", src=channel.src, dst=channel.dst,
-                nbytes=len(data), frames=len(frames), seq=seq,
-            )
-        send_cost = self.costs.dist_message_cost_ns(len(data))
-        depart = max(self.sim.now + send_cost, channel.next_depart)
-        channel.next_depart = depart
-        window.register(data, len(data), depart)
-        self.sim.call_at(depart, self._transmit_reliable, key, data)
-        self.sim.call_at(
-            depart + self.retransmit_policy.timeout_for(0),
-            self._retransmit_check, key, seq,
-        )
-
-    def _transmit_reliable(self, key: Tuple[int, int], data: bytes) -> None:
-        src, dst = key
-        self.network.transmit(
-            self.sim, self.addresses[src], self.addresses[dst], len(data),
-            self._deliver_reliable, src, dst, data,
-        )
-
     def _retransmit_check(self, key: Tuple[int, int], seq: int) -> None:
         window = self._send_windows.get(key)
         if window is None:
@@ -547,44 +537,14 @@ class Transport:
                     "transport", "retransmit", src=src, dst=dst, seq=seq,
                     attempt=entry.attempts,
                 )
-        if self._breaker(key).record_failure(self.sim.now):
+        if self._breakers[key].record_failure(self.sim.now):
             self._breaker_opened(key)
         depart = self.sim.now + cost
-        self.sim.call_at(depart, self._transmit_reliable, key, entry.data)
+        self.sim.call_at(depart, self._transmit, key, entry.data)
         self.sim.call_at(
             depart + self.retransmit_policy.timeout_for(entry.attempts),
             self._retransmit_check, key, seq,
         )
-
-    def _deliver_reliable(self, src: int, dst: int, data: bytes) -> None:
-        try:
-            frames, seq, ack = parse_batch(data)
-        except WireError:
-            self.stats["wire_errors"] += 1
-            count = batch_frame_count(data)
-            self._drop_frames("undecodable", count if count is not None else 1)
-            return
-        if ack:
-            # The ack acknowledges the reverse channel: traffic this
-            # node (dst) sent towards the batch's sender (src).
-            self._apply_ack((dst, src), ack)
-        if not seq:
-            # Pure-ack (seq 0) batch: nothing to sequence or re-ack.
-            self._dispatch_frames(dst, frames)
-            return
-        key = (src, dst)
-        window = self._recv_window(key)
-        dups, ooo = window.dups, window.ooo
-        ready = window.accept(seq, frames)
-        if window.dups > dups:
-            self._bump("dup_batches_dropped")
-        if window.ooo > ooo:
-            self._bump("ooo_batches")
-        for batch_frames in ready:
-            self._dispatch_frames(dst, batch_frames)
-        # Ack every sequenced arrival, duplicates included — a dup means
-        # the sender retransmitted, likely because our last ack was lost.
-        self._send_ack(dst, src)
 
     def _apply_ack(self, key: Tuple[int, int], ack: int) -> None:
         window = self._send_windows.get(key)
@@ -592,7 +552,7 @@ class Transport:
             return
         now = self.sim.now
         acked, samples = window.ack(ack, now)
-        breaker = self._breaker(key)
+        breaker = self._breakers[key]
         breaker.record_ack()
         for sample in samples:
             if self.obs is not None:
@@ -606,7 +566,7 @@ class Transport:
         deferred = window.pop_deferred()
         while deferred is not None:
             frames, size = deferred
-            self._send_sequenced(key, self._channel(*key), frames, size)
+            self._ship(self._channel(*key), frames, size)
             deferred = window.pop_deferred()
 
     def _send_ack(self, from_node: int, to_node: int) -> None:
@@ -614,13 +574,12 @@ class Transport:
         ack = window.cumulative_ack if window is not None else 0
         if ack == 0:
             return
-        data = encode_reliable_batch([], 0, ack)
+        data = encode_batch([], 0, ack)
         self._bump("acks_sent")
         self.stats["wire_bytes"] += len(data)
         cost = self.costs.dist_ack_ns + self.costs.dist_message_cost_ns(len(data))
         self.sim.call_at(
-            self.sim.now + cost, self._transmit_reliable,
-            (from_node, to_node), data,
+            self.sim.now + cost, self._transmit, (from_node, to_node), data,
         )
 
     # -- circuit breaker ----------------------------------------------

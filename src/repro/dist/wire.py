@@ -40,9 +40,11 @@ Layout (little-endian)::
       u32 seq        batch sequence number (0 = unsequenced / ack-only)
       u32 ack        cumulative ack for the reverse channel
 
-The reliable header only appears when the transport runs in reliable
-mode (lossy links); loss-free runs keep the legacy 8-byte header so
-their wire bytes stay bit-identical to the pre-reliability design.
+One encoder writes both headers (:func:`encode_batch`) and one parser
+reads both (:func:`parse_batch`). The reliable header only appears
+when the transport runs in reliable mode (lossy links, or a planned
+link degrade); loss-free runs keep the 8-byte header, so their wire
+bytes stay bit-identical to the pre-reliability design.
 """
 
 from __future__ import annotations
@@ -339,15 +341,9 @@ def decode_frame(data: bytes, offset: int = 0) -> Tuple[Frame, int]:
     return frame, HEADER_SIZE + payload_len
 
 
-def encode_batch(frames: List[Frame]) -> bytes:
-    if len(frames) > 0xFFFF:
-        raise WireError("batch too large: %d frames" % len(frames))
-    body = b"".join(encode_frame(f) for f in frames)
-    return _BATCH_HEADER.pack(BATCH_MAGIC, len(frames), len(body)) + body
-
-
-def encode_reliable_batch(frames: List[Frame], seq: int, ack: int) -> bytes:
-    """Encode a batch under the 16-byte reliable header.
+def encode_batch(frames: List[Frame], seq=None, ack: int = 0) -> bytes:
+    """Encode a batch: under the 8-byte header when ``seq`` is None,
+    else under the 16-byte reliable one.
 
     ``seq`` numbers the batch on its directed channel (0 = unsequenced,
     used for pure-ack batches); ``ack`` is the cumulative ack for the
@@ -356,6 +352,8 @@ def encode_reliable_batch(frames: List[Frame], seq: int, ack: int) -> bytes:
     if len(frames) > 0xFFFF:
         raise WireError("batch too large: %d frames" % len(frames))
     body = b"".join(encode_frame(f) for f in frames)
+    if seq is None:
+        return _BATCH_HEADER.pack(BATCH_MAGIC, len(frames), len(body)) + body
     return _RBATCH_HEADER.pack(
         RBATCH_MAGIC, len(frames), len(body),
         seq & 0xFFFFFFFF, ack & 0xFFFFFFFF,
@@ -399,15 +397,6 @@ def parse_batch(data: bytes):
             % (len(data) - offset, count)
         )
     return frames, seq, ack
-
-
-def decode_batch(data: bytes) -> List[Frame]:
-    if len(data) >= BATCH_HEADER_SIZE:
-        magic = _U16.unpack_from(data)[0]
-        if magic == RBATCH_MAGIC:
-            raise WireError("reliable batch on an unreliable decode path")
-    frames, _seq, _ack = parse_batch(data)
-    return frames
 
 
 def batch_frame_count(data: bytes):

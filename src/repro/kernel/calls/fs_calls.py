@@ -405,7 +405,7 @@ def _getxattr_impl(kernel, thread, path_addr, name_addr, buf, size):
     node, err = kernel.fs.resolve(path, cwd=thread.process.cwd)
     if node is None:
         return -err
-    value = getattr(node, "xattrs", {}).get(name)
+    value = node.xattrs.get(name)
     if value is None:
         return -E.ENODATA
     if size == 0:
@@ -432,7 +432,7 @@ def sys_fgetxattr(kernel, thread, fd, name_addr, buf, size):
     if entry is None:
         return err
     name = thread.process.space.read_cstr(name_addr)
-    value = getattr(entry.ofd.file, "xattrs", {}).get(name)
+    value = entry.ofd.file.xattrs.get(name)
     if value is None:
         return -E.ENODATA
     if size == 0:
@@ -571,16 +571,10 @@ def sys_ioctl(kernel, thread, fd, cmd, arg=0):
         kernel.on_fd_flags_changed(thread.process, fd)
         return 0
     if cmd == FIONREAD:
-        node = entry.ofd.file
-        available = 0
-        if hasattr(node, "rcvbuf"):
-            available = len(node.rcvbuf)
-        elif hasattr(node, "pipe"):
-            available = len(node.pipe.buffer)
-        elif isinstance(node, RegularFile):
-            available = max(0, len(node.data) - entry.ofd.offset)
         if arg:
-            thread.process.space.write_u32(arg, available)
+            thread.process.space.write_u32(
+                arg, entry.ofd.file.readable_bytes(entry.ofd)
+            )
         return 0
     return -E.ENOTTY
 

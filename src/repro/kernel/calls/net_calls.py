@@ -212,7 +212,7 @@ def sys_getsockopt(kernel, thread, fd, level, optname, optval, optlen):
     if not isinstance(sock, (StreamSocket, ListeningSocket)):
         return -E.ENOTSOCK
     if level == C.SOL_SOCKET and optname == C.SO_ERROR:
-        value = getattr(sock, "error", 0)
+        value = sock.error
         if isinstance(sock, StreamSocket):
             sock.error = 0
     else:

@@ -71,6 +71,9 @@ class PipeEnd(FileObject):
                 mask |= C.POLLERR
         return mask
 
+    def readable_bytes(self, ofd) -> int:
+        return len(self.pipe.buffer)
+
     def read(self, kernel, thread, ofd, count: int):
         if self.mode != "r":
             return -E.EBADF

@@ -366,6 +366,9 @@ class StreamSocket(FileObject):
         )
         return len(data)
 
+    def readable_bytes(self, ofd) -> int:
+        return len(self.rcvbuf)
+
     def read(self, kernel, thread, ofd, count: int):
         while not self.rcvbuf:
             if self.rcv_closed:
@@ -420,6 +423,8 @@ class ListeningSocket(FileObject):
     """A bound, listening stream socket with an accept backlog."""
 
     kind = "listen"
+    #: SO_ERROR: a listener never has a pending socket error.
+    error = 0
 
     def __init__(self, kernel, host_ip: str, name: str = "listen"):
         super().__init__(name)

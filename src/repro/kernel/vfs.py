@@ -10,7 +10,8 @@ and IP-MON's file map (paper §3.6) track exactly this structure.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.kernel import constants as C
 from repro.kernel import errno_codes as E
@@ -29,6 +30,10 @@ class FileObject:
     """
 
     kind = "reg"
+    #: Extended attributes (only regular files carry any).
+    xattrs: Mapping[bytes, bytes] = MappingProxyType({})
+    #: ``(entry, pid)`` of a /proc file GHUMVEE filters, else None.
+    proc_entry: Optional[Tuple[str, int]] = None
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -69,6 +74,10 @@ class FileObject:
         return C.S_IFREG | 0o644
 
     def size(self) -> int:
+        return 0
+
+    def readable_bytes(self, ofd) -> int:
+        """Bytes a read through ``ofd`` could return now (FIONREAD)."""
         return 0
 
     def stat_bytes(self) -> bytes:
@@ -132,6 +141,9 @@ class RegularFile(FileObject):
 
     def st_mode(self) -> int:
         return C.S_IFREG | 0o644
+
+    def readable_bytes(self, ofd) -> int:
+        return max(0, len(self.data) - ofd.offset)
 
     def size(self) -> int:
         return len(self.data)

@@ -37,20 +37,10 @@ class LifecycleConfig:
     #: *replaces* the cluster's crash-detect timeout as the failure
     #: detector (gossip silence is the signal).
     gossip: bool = True
-    #: Interval between one node's heartbeats.
-    heartbeat_interval_ns: int = 1_000_000
-    #: Silence (no direct or gossiped liveness) before a peer turns
-    #: suspect; a peer silent for twice this is declared dead.
-    suspicion_timeout_ns: int = 3_000_000
-    #: Heartbeat fanout: peers gossiped to per beat (seeded pick).
-    gossip_fanout: int = 2
 
     # -- replay-based re-admission ------------------------------------
     #: Re-image quarantined slots and replay them back into the quorum.
     rejoin: bool = True
-    #: Spin-up delay before the replacement starts replaying; None uses
-    #: ``CostModel.lifecycle_provision_ns``.
-    provision_ns: Optional[int] = None
     #: Bound on the recorded window (RB records + rendezvous verdicts).
     #: Overflow stops recording and *refuses* later rejoins rather than
     #: replaying from a hole — bounded-by-refusal, never silently wrong.
@@ -80,12 +70,6 @@ class LifecycleConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.heartbeat_interval_ns <= 0:
-            raise PolicyError("heartbeat_interval_ns must be positive")
-        if self.suspicion_timeout_ns <= 0:
-            raise PolicyError("suspicion_timeout_ns must be positive")
-        if self.gossip_fanout < 1:
-            raise PolicyError("gossip_fanout must be at least 1")
         if self.replay_window < 1:
             raise PolicyError("replay_window must be at least 1")
         if self.watch_interval_ns <= 0:

@@ -49,6 +49,12 @@ from repro.lifecycle.autoscale import DriftWatchdog
 from repro.lifecycle.config import LifecycleConfig
 from repro.lifecycle.window import ReplayWindow
 
+#: Heartbeat interval, silence before a peer turns suspect (twice it:
+#: dead), and peers gossiped to per beat (DESIGN.md §12).
+HEARTBEAT_INTERVAL_NS = 1_000_000
+SUSPICION_TIMEOUT_NS = 3_000_000
+GOSSIP_FANOUT = 2
+
 
 class LifecycleManager:
     """The elastic-lifecycle controller attached to one DistMvee."""
@@ -69,8 +75,8 @@ class LifecycleManager:
             self.agents = [
                 GossipAgent(
                     index, mvee.n,
-                    suspicion_timeout_ns=config.suspicion_timeout_ns,
-                    fanout=config.gossip_fanout,
+                    suspicion_timeout_ns=SUSPICION_TIMEOUT_NS,
+                    fanout=GOSSIP_FANOUT,
                     seed=seed,
                     on_dead=lambda peer, inc, i=index: self._on_agent_dead(
                         i, peer, inc
@@ -118,11 +124,6 @@ class LifecycleManager:
         """Gossip silence replaces the crash-detect timeout when armed."""
         return self.gossip_on
 
-    def provision_ns(self) -> int:
-        if self.config.provision_ns is not None:
-            return self.config.provision_ns
-        return self.mvee.costs.lifecycle_provision_ns
-
     def _halted(self) -> bool:
         mvee = self.mvee
         return mvee.shutting_down or mvee.diverged or mvee.group.all_exited()
@@ -131,7 +132,7 @@ class LifecycleManager:
     # Heartbeats + gossip
     # ------------------------------------------------------------------
     def start(self) -> None:
-        interval = self.config.heartbeat_interval_ns
+        interval = HEARTBEAT_INTERVAL_NS
         if self.gossip_on:
             for index in range(self.mvee.n):
                 # Stagger first beats so N nodes never flush one synchronized
@@ -165,7 +166,7 @@ class LifecycleManager:
             self.stats["beats_sent"] += 1
             self.stats["heartbeat_cpu_ns"] += mvee.costs.lifecycle_heartbeat_ns
         self.sim.call_at(
-            self.sim.now + self.config.heartbeat_interval_ns,
+            self.sim.now + HEARTBEAT_INTERVAL_NS,
             self._beat, index,
         )
 
@@ -238,7 +239,8 @@ class LifecycleManager:
             "kind": report.kind,
         }
         self.sim.call_at(
-            self.sim.now + self.provision_ns(), self._provision, index
+            self.sim.now + self.mvee.costs.lifecycle_provision_ns,
+            self._provision, index
         )
 
     def _provision(self, index: int) -> None:
@@ -321,13 +323,23 @@ class LifecycleManager:
         ownership epoch and let it vote like everyone else."""
         if not node.rejoining:
             return
-        mvee = self.mvee
-        now = self.sim.now
         # Every re-admission opens a new ownership epoch, exactly like
         # the quarantine that vacated the slot: in-flight old-epoch
         # frames become rejectable and waiting participants re-collect
         # against the new owner set (which the rejoiner re-enters).
-        mvee.change_membership(rejoined=node.index)
+        self.mvee.change_membership(rejoined=node.index)
+        self._rejoined(node)
+
+    def on_clean_exit(self, node) -> None:
+        """A replacement that replays to its own clean exit never misses
+        an artifact, so it never reaches the frontier; its rejoin still
+        completed. No epoch opens: the node is leaving."""
+        if node.rejoining:
+            self._rejoined(node)
+
+    def _rejoined(self, node) -> None:
+        mvee = self.mvee
+        now = self.sim.now
         info = self._rejoins.get(node.index) or {}
         info["pending"] = False
         self.stats["rejoins_completed"] += 1

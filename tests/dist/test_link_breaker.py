@@ -31,7 +31,7 @@ from repro.dist.reliable import (
     CircuitBreaker,
 )
 from repro.dist.transport import Transport
-from repro.dist.wire import T_CALL_DIGEST, Frame, encode_reliable_batch
+from repro.dist.wire import T_CALL_DIGEST, Frame, encode_batch
 from repro.errors import FaultConfigError
 from repro.faults import FaultInjector, FaultPlan, LinkDegradeFault
 from repro.kernel.sockets import Network
@@ -165,10 +165,10 @@ class TestDuplicateAcks:
         _net, transport = _reliable_pair(sim)
         transport.send(0, 1, _frame(0), urgent=True)
         sim.run()
-        breaker = transport._breaker((0, 1))
+        breaker = transport._breakers[(0, 1)]
         for now in range(breaker.failure_threshold - 1):
             breaker.record_failure(now=now)
-        transport._deliver_reliable(1, 0, encode_reliable_batch([], 0, 1))
+        transport._receive(1, 0, encode_batch([], 0, 1))
         assert breaker.consecutive_failures == 0
         assert breaker.state == BREAKER_CLOSED
         assert transport.stats.get("breaker_opens", 0) == 0

@@ -40,7 +40,6 @@ from repro.dist.wire import (
     WireError,
     batch_frame_count,
     encode_batch,
-    encode_reliable_batch,
     parse_batch,
 )
 from repro.kernel.sockets import Network
@@ -150,7 +149,7 @@ class TestReceiverWindow:
 # ---------------------------------------------------------------------------
 class TestReliableBatchHeader:
     def test_roundtrip_carries_seq_and_ack(self):
-        data = encode_reliable_batch([frame(7)], seq=42, ack=41)
+        data = encode_batch([frame(7)], seq=42, ack=41)
         frames, seq, ack = parse_batch(data)
         assert (seq, ack) == (42, 41)
         assert [f.seq for f in frames] == [7]
@@ -160,11 +159,11 @@ class TestReliableBatchHeader:
         assert seq is None and ack is None and len(frames) == 1
 
     def test_header_sizes(self):
-        assert len(encode_reliable_batch([], 0, 0)) == RBATCH_HEADER_SIZE
+        assert len(encode_batch([], 0, 0)) == RBATCH_HEADER_SIZE
         assert len(encode_batch([])) == BATCH_HEADER_SIZE
 
     def test_frame_count_survives_body_damage(self):
-        data = bytearray(encode_reliable_batch([frame(1), frame(2)], 5, 0))
+        data = bytearray(encode_batch([frame(1), frame(2)], 5, 0))
         data[-1] ^= 0xFF  # corrupt a payload byte past the header
         with pytest.raises(WireError):
             parse_batch(bytes(data))
@@ -231,7 +230,7 @@ class TestReliableTransport:
         transport.dispatch = lambda dst, f: None
         data = bytearray(encode_batch([frame(1), frame(2), frame(3)]))
         data[-1] ^= 0xFF
-        transport._deliver(1, bytes(data))
+        transport._receive(0, 1, bytes(data))
         assert transport.stats["wire_errors"] == 1
         assert transport.stats["frames_dropped"] == 3
         assert transport.frames_dropped_by_class == {"undecodable": 3}

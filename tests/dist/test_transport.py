@@ -12,6 +12,7 @@ from repro.dist.wire import (
     T_CALL_DIGEST,
     T_CONTROL,
     T_SYSCALL_RESULT,
+    encode_batch,
 )
 from repro.errors import WireError
 from repro.kernel.sockets import Network
@@ -124,8 +125,19 @@ def test_ordering_survives_jitter():
 def test_corrupt_batch_counted_and_dropped():
     sim = Simulator()
     transport, inbox = make_transport(sim)
-    transport._deliver(1, b"\x00garbage that is not a batch")
+    transport._receive(0, 1, b"\x00garbage that is not a batch")
     assert transport.stats["wire_errors"] == 1
+    assert inbox == []
+
+
+def test_loss_free_transport_rejects_sequenced_batches():
+    """A loss-free transport only ever ships the 8-byte header, so a
+    batch under the 16-byte one is a wire error, never data."""
+    sim = Simulator()
+    transport, inbox = make_transport(sim)
+    transport._receive(0, 1, encode_batch([frame(1), frame(2)], seq=1))
+    assert transport.stats["wire_errors"] == 1
+    assert transport.frames_dropped_by_class == {"undecodable": 2}
     assert inbox == []
 
 

@@ -19,10 +19,10 @@ from repro.dist.wire import (
     MAGIC,
     VERSION,
     Frame,
-    decode_batch,
     decode_frame,
     encode_batch,
     encode_frame,
+    parse_batch,
 )
 from repro.errors import WireError
 
@@ -99,7 +99,7 @@ def test_encode_matches_reference(frame, wrap):
 )
 def test_decode_matches_reference_and_rejects_any_flipped_byte(batch, wrap, data):
     raw = encode_batch(batch)
-    assert decode_batch(wrap(bytearray(raw))) == batch
+    assert parse_batch(wrap(bytearray(raw)))[0] == batch
     body = raw[BATCH_HEADER_SIZE:]
     offset = 0
     for frame in batch:

@@ -21,11 +21,11 @@ from repro.dist.wire import (
     Frame,
     FRAME_TYPES,
     call_digest,
-    decode_batch,
     decode_frame,
     digest_payload,
     encode_batch,
     encode_frame,
+    parse_batch,
     parse_digest_payload,
 )
 from repro.errors import WireError
@@ -55,7 +55,7 @@ def test_frame_round_trip_identity(frame):
 def test_batch_round_trip_identity(batch):
     data = encode_batch(batch)
     assert len(data) == BATCH_HEADER_SIZE + sum(f.size() for f in batch)
-    assert decode_batch(data) == batch
+    assert parse_batch(data)[0] == batch
 
 
 @given(frames, st.data())
@@ -71,13 +71,13 @@ def test_truncated_batch_rejected(batch, data):
     encoded = encode_batch(batch)
     cut = data.draw(st.integers(0, len(encoded) - 1))
     with pytest.raises(WireError):
-        decode_batch(encoded[:cut])
+        parse_batch(encoded[:cut])
 
 
 @given(st.lists(frames, max_size=4), st.binary(min_size=1, max_size=16))
 def test_trailing_garbage_rejected(batch, garbage):
     with pytest.raises(WireError):
-        decode_batch(encode_batch(batch) + garbage)
+        parse_batch(encode_batch(batch) + garbage)
 
 
 @settings(max_examples=300)

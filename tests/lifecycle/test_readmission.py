@@ -115,3 +115,21 @@ def test_rejoined_follower_ships_its_digests_again():
         skipped = {seq for v, seq in shipped[witness] - shipped[victim]
                    if v == vtid}
         assert all(seq < first for seq in skipped), (vtid, first, skipped)
+
+
+def test_replacement_that_replays_to_a_clean_exit_counts_as_readmitted():
+    """A crash this late leaves the replacement nothing to miss: it
+    replays the window to its own exit 0 without reaching a frontier.
+    Its rejoin still completed, but no epoch opens for a node that is
+    leaving."""
+    mvee = _cluster(victim=0, at_ns=21_500_000)
+    result = mvee.run(max_steps=MAX_STEPS)
+    assert not result.diverged, result.divergence
+    assert [node.process.exit_code for node in mvee.nodes] == [0] * NODES
+    stats = result.stats
+    assert stats["lifecycle_rejoins_started"] == 1
+    assert stats["lifecycle_rejoins_completed"] == 1
+    assert stats["lifecycle_rejoin_ns_total"] > 0
+    assert mvee.obs.registry.histograms["lifecycle_rejoin_ns"].count == 1
+    assert mvee.epoch == 1
+    assert mvee.lifecycle.attribution()["rejoins_pending"] == []

@@ -25,6 +25,10 @@ lanes (DESIGN.md §13); the last three checks fail when a second replay
 plan or replay mode comes back, when ``dist/node.py`` tests for the
 live frontier in more than one place, or when a mirror's order log is
 written outside ``RBMirror`` and the rejoiner's boot.
+
+The dist transport has one batch pipeline whether it runs loss-free or
+reliable (DESIGN.md §8, "WAN-grade links"); the last check fails when a second method of
+``Transport`` puts batches on the network or parses them.
 """
 
 from __future__ import annotations
@@ -287,3 +291,22 @@ def test_order_log_is_written_only_by_the_mirror_and_the_boot():
         hit for path in sorted(SRC.rglob("*.py")) for hit in _order_writes(path)
     ]
     assert found == []
+
+
+def test_one_batch_pipeline():
+    path = SRC / "dist" / "transport.py"
+    callers = {"transmit": set(), "parse_batch": set()}
+    for node, scope in _scoped(path):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "transmit" and (
+            ast.unparse(func.value) == "self.network"
+        ):
+            callers["transmit"].add(scope)
+        elif isinstance(func, ast.Name) and func.id == "parse_batch":
+            callers["parse_batch"].add(scope)
+    assert callers == {
+        "transmit": {"Transport._transmit"},
+        "parse_batch": {"Transport._receive"},
+    }
