@@ -84,7 +84,6 @@ def run_attack_dist(
     leak_family: bool = False,
     leak_offset: int = 0x1234,
     max_steps: int = 400_000_000,
-    dist_kwargs: Optional[dict] = None,
     **config_kwargs,
 ):
     """Run an attack program against a distributed cluster.
@@ -108,7 +107,7 @@ def run_attack_dist(
     config = ReMonConfig(
         replicas=nodes,
         level=level,
-        dist=DistConfig(heterogeneous=heterogeneous, **(dist_kwargs or {})),
+        dist=DistConfig(heterogeneous=heterogeneous),
         **config_kwargs,
     )
     mvee = DistMvee(program, config)

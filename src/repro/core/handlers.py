@@ -231,10 +231,7 @@ class IpmonHandler:
 
     def _valid_length(self, arg_spec, args, result: int) -> int:
         maxlen = resolve_length(arg_spec.length, args)
-        valid_src = getattr(arg_spec, "valid", None)
-        if valid_src is None:
-            return maxlen
-        kind, value = valid_src
+        kind, value = arg_spec.valid
         if kind == "ret":
             return max(0, min(result, maxlen))
         if kind == "fixed":

@@ -55,7 +55,7 @@ class Supervisor:
     (free a quarantined replica's monitor state once it is marked,
     promoted away from and killed) and ``_collect_stats(result, registry)``.
     The fault injector finds its targets through ``shard_owners()``,
-    ``degrade_link(fault)``, ``grant_rejoin(index)`` and ``rb_lanes()``;
+    ``degrade_link(fault)`` and ``rb_lanes()``;
     a front end without the target keeps the default, and the fault
     counts as skipped.
     """
@@ -100,10 +100,6 @@ class Supervisor:
     def degrade_link(self, fault) -> bool:
         """Apply a ``LinkDegradeFault``: False without inter-node links."""
         return False
-
-    def grant_rejoin(self, index: int) -> None:
-        """Let a ``NodeRejoinFault`` victim be re-admitted after its
-        crash: nothing to grant without a lifecycle."""
 
     def rb_lanes(self) -> Optional[dict]:
         """The in-process RB's lanes by vtid; ``None`` without an RB."""

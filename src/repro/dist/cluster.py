@@ -58,7 +58,7 @@ from repro.dist.shard import (
     RendezvousState,
     shard_owner,
 )
-from repro.dist.transport import CODECS, Transport
+from repro.dist.transport import Transport
 from repro.dist.wire import (
     Frame,
     T_CALL_DIGEST,
@@ -118,12 +118,11 @@ class DistConfig:
     The cluster runs one node per ``ReMonConfig.replicas`` and takes its
     observability settings from ``ReMonConfig.obs``."""
 
-    #: One-way latency / jitter of every inter-node link.
+    #: One-way latency of every inter-node link. Jitter and loss are
+    #: ``Network`` attributes (``mvee.network.jitter_ns``/``loss_prob``),
+    #: the transfer-unit size and mirror codec ``Transport`` attributes
+    #: (``mvee.transport.batch_bytes``/``codec``); set them before ``run``.
     link_latency_ns: int = 100_000
-    link_jitter_ns: int = 0
-    #: Transport coalescing: flush a channel at this many pending bytes
-    #: (or when its flush timer fires).
-    batch_bytes: int = 4096
     #: Which unmonitored calls the leader executes and ships. An
     #: ``external`` policy (:func:`repro.dist.selective.fleet_replication`)
     #: runs the cluster in external-service mode (repro.fleet): clients
@@ -136,21 +135,12 @@ class DistConfig:
     replication: SelectiveReplication = field(
         default_factory=selective_replication
     )
-    #: A node waiting longer than this on a peer declares it stalled.
-    stall_timeout_ns: int = 400_000_000
     #: Fast path (off by default). ``shard_rendezvous`` spreads rendezvous
     #: rounds across nodes by (vtid, seq) hash instead of serializing them
     #: all through the leader's monitor; ``rendezvous_shards`` caps how
     #: many nodes own shards (None = every live node).
     shard_rendezvous: bool = False
     rendezvous_shards: Optional[int] = None
-    #: RB mirror payload codec: None (raw), "rle", or "dict" (RLE plus a
-    #: per-channel dictionary over repeated reads). See repro.dist.codec.
-    compress: Optional[str] = None
-    #: Packet loss on every inter-node link (per-link values go through
-    #: ``Network.set_link`` / ``LinkDegradeFault``). A lossy network, or
-    #: a planned ``LinkDegradeFault``, enables the reliable transport.
-    link_loss_prob: float = 0.0
     #: Heterogeneous per-node diversity (DESIGN.md §13, DMON-style).
     #: Every node gets its own :class:`repro.diversity.NodeProfile`:
     #: a private DCL arena, a one-way-mixed ASLR seed stream, and a
@@ -623,11 +613,6 @@ class DistMvee(Supervisor):
             raise MonitorError(
                 "ReMonConfig.dist must be a DistConfig, got %r" % (dconfig,)
             )
-        if dconfig.compress is not None and dconfig.compress not in CODECS:
-            raise MonitorError(
-                "DistConfig.compress must be None or one of %r, got %r"
-                % (CODECS, dconfig.compress)
-            )
         self.n = config.replicas
         if self.n < 1:
             raise MonitorError("a distributed MVEE needs at least one node")
@@ -664,9 +649,7 @@ class DistMvee(Supervisor):
         self.network = Network(
             latency_ns=dconfig.link_latency_ns,
             bandwidth_bps=LINK_BANDWIDTH_BPS,
-            jitter_ns=dconfig.link_jitter_ns,
             jitter_seed=self.config.seed or 0x5EED,
-            loss_prob=dconfig.link_loss_prob,
             fault_seed=(self.config.seed or 0) ^ 0xFA17,
         )
         self.nodes: List[Node] = []
@@ -748,8 +731,6 @@ class DistMvee(Supervisor):
             self.network,
             [(node.host_ip, 0) for node in self.nodes],
             self.costs,
-            batch_bytes=dconfig.batch_bytes,
-            codec=dconfig.compress,
         )
         self.transport.obs = self.obs
         self.transport.dispatch = self._dispatch
@@ -842,10 +823,6 @@ class DistMvee(Supervisor):
             self.network.replace_link_directed, src_ip, dst_ip, snapshot,
         )
         return True
-
-    def grant_rejoin(self, index: int) -> None:
-        if self.lifecycle is not None:
-            self.lifecycle.force_rejoin(index)
 
     # ------------------------------------------------------------------
     # Membership
@@ -1168,7 +1145,7 @@ class DistMvee(Supervisor):
             and not self.diverged
             and not node.process.quarantined
         ):
-            if self.lifecycle is not None and self.lifecycle.detects_crashes():
+            if self.lifecycle is not None:
                 # Gossip is the failure detector: the crashed node's
                 # heartbeats stop, peers suspect it, and the epidemic
                 # dead declaration triggers handle_crash instead of

@@ -56,9 +56,11 @@ from repro.sim import Sleep
 
 #: A node blocked on a peer (a verdict, a mirrored result) re-checks on
 #: an exponential backoff from this interval up to the cap, until the
-#: stall watchdog's ``DistConfig.stall_timeout_ns`` fires.
+#: stall watchdog fires: a node waiting longer than ``STALL_TIMEOUT_NS``
+#: on a peer declares it stalled.
 STALL_BACKOFF_INITIAL_NS = 100_000
 STALL_BACKOFF_MAX_NS = 16_000_000
+STALL_TIMEOUT_NS = 400_000_000
 
 #: The two lanes besides :mod:`repro.dist.selective`'s local and
 #: replicated ones.
@@ -377,7 +379,7 @@ class DistInterceptor:
             T_SYSCALL_RESULT, src, vtid, seq, aux=result, payload=payload
         )
         encode_ns = costs.rb_write_base_ns + costs.dist_frame_cost_ns(frame.size())
-        if coded and mvee.dconfig.compress is not None and payload:
+        if coded and mvee.transport.codec is not None and payload:
             encode_ns += costs.dist_compress_cost_ns(len(payload))
         yield Sleep(encode_ns, cpu=True)
         record = RemoteRecord(result, payload, req.name)
@@ -428,9 +430,8 @@ class DistInterceptor:
         mvee, node = self.mvee, self.node
         sim = node.kernel.sim
         costs = node.kernel.config.costs
-        timeout = mvee.dconfig.stall_timeout_ns
         vtid = thread.vtid
-        deadline = sim.now + timeout
+        deadline = sim.now + STALL_TIMEOUT_NS
         backoff = STALL_BACKOFF_INITIAL_NS
         while True:
             record = node.mirror.get(vtid, seq)
@@ -439,7 +440,7 @@ class DistInterceptor:
                 yield from self._claim_turn(thread, turn)
                 size = len(record.payload)
                 adopt_ns = costs.rb_read_base_ns + costs.rb_copy_ns(size)
-                if coded and size and mvee.dconfig.compress is not None:
+                if coded and size and mvee.transport.codec is not None:
                     # Codec expansion happens on the adoption copy path.
                     adopt_ns += costs.dist_decompress_cost_ns(size)
                 yield Sleep(costs.lifecycle_replay_ns if replay else adopt_ns,
@@ -463,9 +464,10 @@ class DistInterceptor:
                 mvee.report_stall(
                     node, thread, req,
                     blame=mvee.leader_index,
-                    detail="%s for %s after %d ns" % (what, req.name, timeout),
+                    detail="%s for %s after %d ns"
+                    % (what, req.name, STALL_TIMEOUT_NS),
                 )
-                deadline = sim.now + timeout
+                deadline = sim.now + STALL_TIMEOUT_NS
                 continue
             backoff = yield from self._backoff_wait(
                 thread, node.mirror.waitq, backoff, deadline
@@ -610,8 +612,7 @@ class DistInterceptor:
         mvee, node = self.mvee, self.node
         sim = node.kernel.sim
         costs = node.kernel.config.costs
-        dcfg = mvee.dconfig
-        deadline = sim.now + dcfg.stall_timeout_ns
+        deadline = sim.now + STALL_TIMEOUT_NS
         backoff = STALL_BACKOFF_INITIAL_NS
         was_owner = node.index == mvee.shard_owner(vtid, seq)
         sent_epoch = mvee.epoch
@@ -684,12 +685,12 @@ class DistInterceptor:
                     mvee.report_stall(
                         node, thread, req, blame=blame,
                         detail="rendezvous on %s stalled for %d ns"
-                        % (req.name, dcfg.stall_timeout_ns),
+                        % (req.name, STALL_TIMEOUT_NS),
                     )
                 # blame=None: every participant has voted, so the round
                 # is completing and only the release is in flight — a
                 # watchdog report now would punish an innocent node.
-                deadline = sim.now + dcfg.stall_timeout_ns
+                deadline = sim.now + STALL_TIMEOUT_NS
                 continue
             if node.index == owner and state is not None:
                 waitq = state.waitq

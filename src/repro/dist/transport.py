@@ -54,7 +54,7 @@ from repro.dist.wire import (
 from repro.errors import WireError
 from repro.kernel.sockets import Address
 
-#: Codec names accepted by Transport/DistConfig. ``None`` ships raw.
+#: Codec names ``Transport.codec`` accepts. ``None`` ships raw.
 CODECS = ("rle", "dict")
 
 #: Payloads below this length cannot win (dict reference is 6 bytes,

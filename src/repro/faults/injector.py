@@ -158,13 +158,9 @@ class LinkDegradeFault:
 
 @dataclass
 class NodeRejoinFault:
-    """Crash one replica at ``at_ns`` *and* force the lifecycle manager
-    to replay-readmit it, even when ``LifecycleConfig.rejoin`` is off
-    (distributed clusters with ``DistConfig.lifecycle`` armed only).
-
-    Equivalent to a timed :class:`CrashFault` plus a one-shot rejoin
-    grant, so recovery sweeps can price re-admission without globally
-    enabling auto-rejoin for every crash in the plan.
+    """Crash one replica at ``at_ns``: a timed :class:`CrashFault` that
+    names the recovery it prices. A cluster with ``DistConfig.lifecycle``
+    attached replay-readmits every quarantined slot, this victim too.
     """
 
     replica: int
@@ -269,11 +265,8 @@ class FaultInjector:
                 self._error_state.append([fault, fault.skip_first, fault.count])
             elif isinstance(fault, TokenLossFault):
                 self._token_state.append([fault, fault.skip_first, fault.count])
-            elif isinstance(fault, RBCorruptionFault):
-                self._timed.append(fault)
-            elif isinstance(fault, LinkDegradeFault):
-                self._timed.append(fault)
-            elif isinstance(fault, NodeRejoinFault):
+            elif isinstance(fault, (RBCorruptionFault, LinkDegradeFault,
+                                    NodeRejoinFault)):
                 self._timed.append(fault)
             else:
                 raise FaultConfigError("unknown fault type: %r" % (fault,))
@@ -304,10 +297,8 @@ class FaultInjector:
                 kernel.sim.call_at(at, self._fire_link_degrade, fault)
             elif isinstance(fault, ShardOwnerCrashFault):
                 kernel.sim.call_at(at, self._fire_shard_owner_crash, fault)
-            elif isinstance(fault, CrashFault):
+            elif isinstance(fault, (CrashFault, NodeRejoinFault)):
                 kernel.sim.call_at(at, self._fire_crash, fault)
-            elif isinstance(fault, NodeRejoinFault):
-                kernel.sim.call_at(at, self._fire_node_rejoin, fault)
             else:
                 kernel.sim.call_at(at, self._fire_stall, fault)
         return self
@@ -351,17 +342,6 @@ class FaultInjector:
         if process is None or process.exited:
             self.stats["skipped"] += 1
             return
-        self.stats["crashes"] += 1
-        self._obs_fault("crash", fault.replica)
-        self.kernel.terminate_process(process, 128 + fault.signo, signo=fault.signo)
-
-    def _fire_node_rejoin(self, fault: NodeRejoinFault) -> None:
-        process = self._replica_process(fault.replica)
-        if process is None or process.exited:
-            self.stats["skipped"] += 1
-            return
-        if self.mvee is not None:
-            self.mvee.grant_rejoin(fault.replica)
         self.stats["crashes"] += 1
         self._obs_fault("crash", fault.replica)
         self.kernel.terminate_process(process, 128 + fault.signo, signo=fault.signo)

@@ -6,12 +6,13 @@ node that is about to stall shows up first as p99 drift in
 ``fleet_accept_wait_ns`` and as rendezvous rounds that stay open missing
 exactly its vote — long before the (400 ms-scale) rendezvous stall
 watchdog declares anyone faulted. The watchdog samples those signals
-every ``watch_interval_ns`` of virtual time and drives two actuators:
+every ``manager.WATCH_INTERVAL_NS`` of virtual time and drives two
+actuators:
 
 * **scale** — sustained p99 drift across ``drift_windows`` consecutive
   windows raises the rendezvous shard count by one (HRW makes the
   owner-set change minimal-disruption and clean changes need no epoch
-  bump); sustained quiet lowers it back toward ``min_shards``.
+  bump); sustained quiet lowers it back toward ``manager.MIN_SHARDS``.
 * **proactive quarantine** — a round that stays open for
   ``stuck_round_ticks`` windows, where one node accounts for the
   missing votes, gets that node quarantined-and-replaced *before* an
@@ -74,8 +75,11 @@ class DriftWatchdog:
     """Pure decision logic; the LifecycleManager owns the timer and the
     actuators (shard-count mutation, quarantine) it recommends."""
 
-    def __init__(self, config):
-        self.config = config
+    def __init__(self, *, drift_factor: float, drift_windows: int,
+                 stuck_round_ticks: int):
+        self.drift_factor = drift_factor
+        self.drift_windows = drift_windows
+        self.stuck_round_ticks = stuck_round_ticks
         self._signals: Dict[str, _Signal] = {name: _Signal() for name in WATCHED}
         self._drift_streak = 0
         self._quiet_streak = 0
@@ -104,7 +108,7 @@ class DriftWatchdog:
             if p99 is None or signal.baseline_p99 is None:
                 continue
             sampled += 1
-            if p99 >= signal.baseline_p99 * self.config.drift_factor:
+            if p99 >= signal.baseline_p99 * self.drift_factor:
                 drifting += 1
             elif p99 <= signal.baseline_p99:
                 quiet += 1
@@ -118,11 +122,11 @@ class DriftWatchdog:
         else:
             self._drift_streak = 0
             self._quiet_streak = 0
-        if self._drift_streak >= self.config.drift_windows:
+        if self._drift_streak >= self.drift_windows:
             self._drift_streak = 0
             self.stats["scale_up_votes"] += 1
             return 1
-        if self._quiet_streak >= self.config.drift_windows:
+        if self._quiet_streak >= self.drift_windows:
             self._quiet_streak = 0
             self.stats["scale_down_votes"] += 1
             return -1
@@ -146,7 +150,7 @@ class DriftWatchdog:
         for key, missing in open_rounds.items():
             ticks = self._stuck.get(key, 0) + 1
             stuck_next[key] = ticks
-            if ticks >= self.config.stuck_round_ticks:
+            if ticks >= self.stuck_round_ticks:
                 for node in missing:
                     blame[node] = blame.get(node, 0) + 1
                     total_missing += 1

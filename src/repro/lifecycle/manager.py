@@ -9,18 +9,19 @@ The manager owns three loops, all on the cluster's virtual clock:
   membership view survives leader loss.
 * **re-admission** — an always-on :class:`~repro.lifecycle.window.
   ReplayWindow` records every RB mirror record and rendezvous verdict.
-  When a slot is quarantined (and rejoin is on), the manager waits a
-  provision delay, re-images the slot with a fresh kernel/process at
-  the same layout and address, ships the recorded window as billed
+  When a slot is quarantined, the manager waits a provision delay,
+  re-images the slot with a fresh kernel/process at the same layout
+  and address, ships the recorded window as billed
   ``T_LIFECYCLE_STATE`` frames, and boots the replacement: it adopts
   its pre-filled mirror in arrival order at ``lifecycle_replay_ns``
   each (rr-style: no digests, no round trips) until it misses an
   artifact — the live frontier — at which point it is re-admitted
   under a bumped ownership epoch and votes like everyone else.
-* **drift watchdog** — a periodic tick sampling the always-on wait
-  histograms and the open rendezvous rounds; sustained p99 drift
-  scales the shard count, and a node that keeps whole rounds open is
-  proactively quarantined-and-replaced before a divergence.
+* **drift watchdog** (``LifecycleConfig.autoscale``) — a periodic tick
+  sampling the always-on wait histograms and the open rendezvous
+  rounds; sustained p99 drift scales the shard count, and a node that
+  keeps whole rounds open is proactively quarantined-and-replaced
+  before a divergence.
 
 Nothing here exists unless a :class:`LifecycleConfig` is attached:
 lifecycle-free runs take zero new frames, zero new stats, and stay
@@ -47,6 +48,7 @@ from repro.dist.wire import (
 )
 from repro.lifecycle.autoscale import DriftWatchdog
 from repro.lifecycle.config import LifecycleConfig
+from repro.lifecycle.gossip import GossipAgent
 from repro.lifecycle.window import ReplayWindow
 
 #: Heartbeat interval, silence before a peer turns suspect (twice it:
@@ -55,44 +57,60 @@ HEARTBEAT_INTERVAL_NS = 1_000_000
 SUSPICION_TIMEOUT_NS = 3_000_000
 GOSSIP_FANOUT = 2
 
+#: Bound on the recorded window (RB records + rendezvous verdicts).
+#: Overflow stops recording and *refuses* later rejoins rather than
+#: replaying from a hole — bounded-by-refusal, never silently wrong.
+REPLAY_WINDOW = 65536
+
+#: The drift watchdog's sampling interval; the factor by which windowed
+#: p99 must exceed the baseline p99 to count as drifting; consecutive
+#: drifting (or quiet) windows before scaling up (down); the shard-count
+#: bounds the scaler moves within; and the watchdog intervals a node may
+#: keep whole rounds open (stopped voting) before it is proactively
+#: quarantined-and-replaced, long before the stall watchdog would fire.
+WATCH_INTERVAL_NS = 2_000_000
+DRIFT_FACTOR = 4.0
+DRIFT_WINDOWS = 3
+MIN_SHARDS = 1
+MAX_SHARDS = 8
+STUCK_ROUND_TICKS = 3
+
 
 class LifecycleManager:
     """The elastic-lifecycle controller attached to one DistMvee."""
 
     def __init__(self, mvee, config: LifecycleConfig):
         self.mvee = mvee
-        self.config = config
         self.sim = mvee.sim
         seed = config.seed if config.seed is not None else (
             mvee.config.seed or 1
         )
         #: One agent per slot; agents outlive re-images (the replacement
         #: inherits the slot's view under a bumped incarnation).
-        self.agents: List = []
-        if config.gossip:
-            from repro.lifecycle.gossip import GossipAgent
-
-            self.agents = [
-                GossipAgent(
-                    index, mvee.n,
-                    suspicion_timeout_ns=SUSPICION_TIMEOUT_NS,
-                    fanout=GOSSIP_FANOUT,
-                    seed=seed,
-                    on_dead=lambda peer, inc, i=index: self._on_agent_dead(
-                        i, peer, inc
-                    ),
-                )
-                for index in range(mvee.n)
-            ]
-        #: Always recorded while the manager exists: a NodeRejoinFault
-        #: can force a rejoin even with config.rejoin off, and a window
-        #: that only starts recording at the crash is a window with a
-        #: hole.
-        self.window = ReplayWindow(config.replay_window)
-        self.watchdog = DriftWatchdog(config) if config.autoscale else None
+        self.agents: List[GossipAgent] = [
+            GossipAgent(
+                index, mvee.n,
+                suspicion_timeout_ns=SUSPICION_TIMEOUT_NS,
+                fanout=GOSSIP_FANOUT,
+                seed=seed,
+                on_dead=lambda peer, inc, i=index: self._on_agent_dead(
+                    i, peer, inc
+                ),
+            )
+            for index in range(mvee.n)
+        ]
+        #: Recorded from the start: a window that only starts recording
+        #: at the crash is a window with a hole.
+        self.window = ReplayWindow(REPLAY_WINDOW)
+        self.watchdog = None
+        if config.autoscale:
+            self.watchdog = DriftWatchdog(
+                drift_factor=DRIFT_FACTOR,
+                drift_windows=DRIFT_WINDOWS,
+                stuck_round_ticks=STUCK_ROUND_TICKS,
+            )
         #: Slot index -> in-flight rejoin bookkeeping.
         self._rejoins: Dict[int, Dict] = {}
-        self._forced: set = set()
         self.stats = {
             "beats_sent": 0,
             "gossip_frames": 0,
@@ -116,14 +134,6 @@ class LifecycleManager:
         }
 
     # ------------------------------------------------------------------
-    @property
-    def gossip_on(self) -> bool:
-        return bool(self.agents)
-
-    def detects_crashes(self) -> bool:
-        """Gossip silence replaces the crash-detect timeout when armed."""
-        return self.gossip_on
-
     def _halted(self) -> bool:
         mvee = self.mvee
         return mvee.shutting_down or mvee.diverged or mvee.group.all_exited()
@@ -133,14 +143,13 @@ class LifecycleManager:
     # ------------------------------------------------------------------
     def start(self) -> None:
         interval = HEARTBEAT_INTERVAL_NS
-        if self.gossip_on:
-            for index in range(self.mvee.n):
-                # Stagger first beats so N nodes never flush one synchronized
-                # burst; the offsets are pure functions of the index.
-                offset = interval * (index + 1) // (self.mvee.n + 1)
-                self.sim.call_at(interval + offset, self._beat, index)
+        for index in range(self.mvee.n):
+            # Stagger first beats so N nodes never flush one synchronized
+            # burst; the offsets are pure functions of the index.
+            offset = interval * (index + 1) // (self.mvee.n + 1)
+            self.sim.call_at(interval + offset, self._beat, index)
         if self.watchdog is not None:
-            self.sim.call_at(self.config.watch_interval_ns, self._watch_tick)
+            self.sim.call_at(WATCH_INTERVAL_NS, self._watch_tick)
 
     def _beat(self, index: int) -> None:
         if self._halted():
@@ -171,7 +180,7 @@ class LifecycleManager:
         )
 
     def on_gossip_frame(self, dst: int, frame: Frame) -> None:
-        if not self.gossip_on or self._halted():
+        if self._halted():
             return
         entries = parse_gossip_payload(frame.payload)
         self.agents[dst].merge(self.sim.now, frame.sender, entries)
@@ -215,15 +224,8 @@ class LifecycleManager:
     # ------------------------------------------------------------------
     # Re-admission
     # ------------------------------------------------------------------
-    def force_rejoin(self, index: int) -> None:
-        """A NodeRejoinFault demands this slot rejoin even if the
-        config would not rejoin ordinary quarantines."""
-        self._forced.add(index)
-
     def on_quarantine(self, index: int, report: DivergenceReport) -> None:
         if self._halted():
-            return
-        if not (self.config.rejoin or index in self._forced):
             return
         if self.window.overflowed:
             # A window with a hole cannot be replayed soundly; refuse.
@@ -265,13 +267,12 @@ class LifecycleManager:
         mvee.image(node, "%s.n%d.r%d" % (
             mvee.program.name, index, self.stats["rejoins_scheduled"],
         ))
-        if self.gossip_on:
-            # The replacement outlives its own obituary by announcing a
-            # bumped incarnation; peers revive the slot on merge. Its
-            # peer silence clocks restart too — the agent was deaf for
-            # the whole outage, so the accumulated silence says nothing
-            # about the peers.
-            self.agents[index].restart(self.sim.now)
+        # The replacement outlives its own obituary by announcing a
+        # bumped incarnation; peers revive the slot on merge. Its peer
+        # silence clocks restart too — the agent was deaf for the whole
+        # outage, so the accumulated silence says nothing about the
+        # peers.
+        self.agents[index].restart(self.sim.now)
         # Ship the recorded window as billed lifecycle state frames from
         # the current leader (who holds the authoritative record); the
         # delivery applies it and boots the guest.
@@ -364,7 +365,6 @@ class LifecycleManager:
         if self._halted():
             return
         mvee = self.mvee
-        config = self.config
         decision = self.watchdog.observe_histograms(
             mvee.obs.registry.histograms
         )
@@ -373,14 +373,14 @@ class LifecycleManager:
             # Clean membership change: HRW remaps ~1/N of new rounds,
             # open rounds stay addressable via their hosting shard, and
             # no epoch bump is needed.
-            if decision > 0 and shards < config.max_shards:
+            if decision > 0 and shards < MAX_SHARDS:
                 mvee.change_membership(shards=shards + 1)
                 self.stats["scale_ups"] += 1
                 if mvee.obs.tracer.enabled:
                     mvee.obs.tracer.instant(
                         "lifecycle", "scale_up", shards=shards + 1,
                     )
-            elif decision < 0 and shards > config.min_shards:
+            elif decision < 0 and shards > MIN_SHARDS:
                 mvee.change_membership(shards=shards - 1)
                 self.stats["scale_downs"] += 1
                 if mvee.obs.tracer.enabled:
@@ -388,7 +388,7 @@ class LifecycleManager:
                         "lifecycle", "scale_down", shards=shards - 1,
                     )
         blame = self.watchdog.observe_rounds(mvee.monitor.missing_votes())
-        if blame is not None and config.proactive_quarantine:
+        if blame is not None:
             node = mvee.nodes[blame]
             process = node.process
             if (
@@ -409,7 +409,7 @@ class LifecycleManager:
                 report.replica = blame
                 mvee.replica_fault(process, report)
         self.sim.call_at(
-            self.sim.now + config.watch_interval_ns, self._watch_tick
+            self.sim.now + WATCH_INTERVAL_NS, self._watch_tick
         )
 
     # ------------------------------------------------------------------

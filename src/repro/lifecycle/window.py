@@ -7,9 +7,9 @@ sharded monitor released. Record those two streams as they happen and a
 fresh process, being deterministic, can be driven back to the live
 frontier by replaying them instead of restarting the world.
 
-The window is bounded by ``replay_window`` entries. On overflow it
-stops recording and refuses all later rejoins — a replay from a window
-with a hole would silently diverge, and refusal is the only answer that
+The window is bounded by ``manager.REPLAY_WINDOW`` entries. On overflow
+it stops recording and refuses all later rejoins — a replay from a
+window with a hole would silently diverge, and refusal is the only answer that
 keeps the §4 security argument intact. (The "checkpoint" the leader
 keeps is the program image itself: every node boots from the identical
 installed filesystem, so the window never needs a base snapshot.)

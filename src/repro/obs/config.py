@@ -25,11 +25,9 @@ class ObsConfig:
             choke points (kernel dispatch, rendezvous, RB ops, IK-B
             routing, dist transport). Off by default — zero cost.
         flight_recorder: keep a bounded per-replica ring of the last
-            ``ring_size`` syscall/rendezvous events and dump a
-            postmortem on divergence or quarantine.
-        ring_size: events retained per replica by the flight recorder.
-        max_events: bound on the tracer's in-memory event buffer;
-            further events are counted in ``Tracer.dropped``.
+            ``FlightRecorder.ring_size`` syscall/rendezvous events and
+            dump a postmortem on divergence or quarantine. The tracer's
+            buffer is bounded by ``Tracer.max_events``.
         trace_path: if set, finalize writes the trace as JSON lines.
         prometheus_path: if set, finalize writes the registry in
             Prometheus text exposition format.
@@ -37,7 +35,5 @@ class ObsConfig:
 
     spans: bool = False
     flight_recorder: bool = False
-    ring_size: int = 64
-    max_events: int = 100_000
     trace_path: Optional[str] = None
     prometheus_path: Optional[str] = None

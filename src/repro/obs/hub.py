@@ -29,10 +29,8 @@ class Obs:
         self.config = config
         self.sim = sim
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(sim, enabled=config.spans,
-                             max_events=config.max_events)
-        self.recorder = (FlightRecorder(config.ring_size)
-                         if config.flight_recorder else None)
+        self.tracer = Tracer(sim, enabled=config.spans)
+        self.recorder = FlightRecorder() if config.flight_recorder else None
         # Virtual-time charges, set by bind_costs; all zero while the
         # corresponding instrument is off, so a metrics-only run's wall
         # time is byte-identical to an obs-free one.

@@ -1,7 +1,7 @@
 """Tests for the native, GHUMVEE-standalone and VARAN baselines."""
 
-from repro.baselines import Varan, VaranConfig, ghumvee_standalone_config, run_native
-from repro.core import Level, ReMon
+from repro.baselines import Varan, VaranConfig, run_native
+from repro.core import Level, ReMon, ReMonConfig
 from repro.guest.program import Compute, Program
 from repro.kernel import Kernel
 from repro.kernel import constants as C
@@ -20,6 +20,11 @@ def make_io_program(iterations=20):
         return 0
 
     return Program("io-loop", main, files={"/data/file.bin": bytes(4096)})
+
+
+def ghumvee_standalone_config():
+    """The pure CP-monitor baseline: ReMon with IP-MON disabled."""
+    return ReMonConfig(level=Level.NO_IPMON)
 
 
 def test_native_reports_time_and_syscalls():

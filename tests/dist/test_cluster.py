@@ -23,6 +23,15 @@ def dist_config(**kwargs):
     )
 
 
+def run_tuned(program, config, codec=None, jitter_ns=0):
+    """``run_distributed`` with the transport's mirror codec and the
+    network's link jitter set before the run."""
+    mvee = DistMvee(program, config)
+    mvee.transport.codec = codec
+    mvee.network.jitter_ns = jitter_ns
+    return mvee.run(max_steps=MAX_STEPS)
+
+
 def mixed_program(exit_code=5):
     """Local file I/O + replicated clock reads + monitored open."""
 
@@ -103,10 +112,8 @@ class TestCompletion:
 
 class TestDeterminism:
     def test_identical_runs_are_bit_identical(self):
-        a = run_distributed(mixed_program(), dist_config(
-            dist_kwargs={"link_jitter_ns": 20_000}), max_steps=MAX_STEPS)
-        b = run_distributed(mixed_program(), dist_config(
-            dist_kwargs={"link_jitter_ns": 20_000}), max_steps=MAX_STEPS)
+        a = run_tuned(mixed_program(), dist_config(), jitter_ns=20_000)
+        b = run_tuned(mixed_program(), dist_config(), jitter_ns=20_000)
         assert a.wall_time_ns == b.wall_time_ns
         assert a.stats == b.stats
         assert a.exit_codes == b.exit_codes
@@ -170,15 +177,17 @@ class TestDivergenceDetection:
             assert not result.diverged, (level, result.divergence)
 
 
-#: The off-by-default fast-path knobs, enabled together.
-FAST_PATH = {"shard_rendezvous": True, "compress": "dict"}
+#: The off-by-default fast path: sharded rendezvous (a DistConfig
+#: knob) plus dict-coded mirrors (the transport's codec).
+FAST_PATH = {"shard_rendezvous": True}
+FAST_CODEC = "dict"
 
 
 class TestFastPath:
     def test_clean_program_completes_with_fast_path(self):
-        result = run_distributed(
+        result = run_tuned(
             mixed_program(), dist_config(dist_kwargs=dict(FAST_PATH)),
-            max_steps=MAX_STEPS,
+            codec=FAST_CODEC,
         )
         assert not result.diverged, result.divergence
         assert result.exit_codes == [5, 5, 5]
@@ -191,9 +200,9 @@ class TestFastPath:
     def test_fast_path_matches_baseline_semantics(self):
         base = run_distributed(mixed_program(), dist_config(),
                                max_steps=MAX_STEPS)
-        fast = run_distributed(
+        fast = run_tuned(
             mixed_program(), dist_config(dist_kwargs=dict(FAST_PATH)),
-            max_steps=MAX_STEPS,
+            codec=FAST_CODEC,
         )
         # Same outcome and identical lane traffic — the fast path only
         # changes who owns each round and how bytes travel.
@@ -205,13 +214,12 @@ class TestFastPath:
         assert fast.stats["dist_wire_bytes"] <= base.stats["dist_wire_bytes"]
 
     def test_fast_path_is_deterministic(self):
-        kwargs = dict(FAST_PATH, link_jitter_ns=20_000)
-        a = run_distributed(mixed_program(),
-                            dist_config(dist_kwargs=dict(kwargs)),
-                            max_steps=MAX_STEPS)
-        b = run_distributed(mixed_program(),
-                            dist_config(dist_kwargs=dict(kwargs)),
-                            max_steps=MAX_STEPS)
+        a, b = (
+            run_tuned(mixed_program(),
+                      dist_config(dist_kwargs=dict(FAST_PATH)),
+                      codec=FAST_CODEC, jitter_ns=20_000)
+            for _ in range(2)
+        )
         assert a.wall_time_ns == b.wall_time_ns
         assert a.stats == b.stats
         assert a.exit_codes == b.exit_codes
@@ -237,10 +245,10 @@ class TestFastPath:
                 yield ctx.sys.getpid()
             return 0
 
-        result = run_distributed(
+        result = run_tuned(
             Program("async-div-fast", main),
             dist_config(dist_kwargs=dict(FAST_PATH)),
-            max_steps=MAX_STEPS,
+            codec=FAST_CODEC,
         )
         assert result.diverged
         assert result.divergence.detected_by == "dist-async"
@@ -254,10 +262,10 @@ class TestFastPath:
             yield from libc.close(fd)
             return 0
 
-        result = run_distributed(
+        result = run_tuned(
             Program("lockstep-div-fast", main),
             dist_config(level=Level.BASE, dist_kwargs=dict(FAST_PATH)),
-            max_steps=MAX_STEPS,
+            codec=FAST_CODEC,
         )
         assert result.diverged
         assert result.divergence.detected_by == "dist-lockstep"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from repro.core import DegradationPolicy, Level, ReMonConfig
 from repro.dist import DistConfig, DistMvee, run_distributed
+from repro.dist import node as dist_node
 from repro.faults import CrashFault, FaultInjector, FaultPlan, StallFault
 from repro.guest.program import Compute, Program
 from repro.kernel import constants as C
@@ -26,12 +27,13 @@ def worker_program(calls=50, exit_code=7):
 
 
 def run_cluster(program, plan=None, degradation=None, replicas=3,
-                dist_kwargs=None, level=Level.NONSOCKET_RW):
+                dist_kwargs=None, level=Level.NONSOCKET_RW, codec=None):
     config = ReMonConfig(
         replicas=replicas, level=level, degradation=degradation,
         dist=DistConfig(**(dist_kwargs or {})),
     )
     mvee = DistMvee(program, config)
+    mvee.transport.codec = codec
     if plan is not None:
         mvee.attach_faults(FaultInjector(plan))
     result = mvee.run(max_steps=MAX_STEPS)
@@ -168,7 +170,7 @@ class TestFastPathFaults:
         mvee, result = run_cluster(
             worker_program(), plan=plan,
             degradation=DegradationPolicy(min_quorum=2),
-            dist_kwargs={"shard_rendezvous": True, "compress": "dict"},
+            dist_kwargs={"shard_rendezvous": True}, codec="dict",
         )
         assert not result.diverged, result.divergence
         assert result.quarantined_replicas == [0]
@@ -182,7 +184,7 @@ class TestFastPathFaults:
         _mvee, result = run_cluster(
             worker_program(), plan=plan,
             degradation=DegradationPolicy(min_quorum=2),
-            dist_kwargs={"shard_rendezvous": True, "compress": "rle"},
+            dist_kwargs={"shard_rendezvous": True}, codec="rle",
         )
         assert not result.diverged, result.divergence
         assert result.quarantined_replicas == [2]
@@ -190,13 +192,13 @@ class TestFastPathFaults:
 
 
 class TestStalls:
-    def test_long_stall_is_blamed_and_quarantined(self):
+    def test_long_stall_is_blamed_and_quarantined(self, monkeypatch):
+        monkeypatch.setattr(dist_node, "STALL_TIMEOUT_NS", 10_000_000)
         plan = FaultPlan([StallFault(replica=2, duration_ns=400_000_000,
                                      after_syscalls=20)])
         _mvee, result = run_cluster(
             worker_program(), plan=plan,
             degradation=DegradationPolicy(min_quorum=2),
-            dist_kwargs={"stall_timeout_ns": 10_000_000},
         )
         assert not result.diverged, result.divergence
         assert result.quarantined_replicas == [2]
@@ -204,13 +206,13 @@ class TestStalls:
         assert result.fault_events[0].kind == "stall"
         assert result.fault_events[0].detected_by == "dist-watchdog"
 
-    def test_short_stall_is_absorbed(self):
+    def test_short_stall_is_absorbed(self, monkeypatch):
+        monkeypatch.setattr(dist_node, "STALL_TIMEOUT_NS", 50_000_000)
         plan = FaultPlan([StallFault(replica=1, duration_ns=1_000_000,
                                      after_syscalls=20)])
         _mvee, result = run_cluster(
             worker_program(), plan=plan,
             degradation=DegradationPolicy(min_quorum=2),
-            dist_kwargs={"stall_timeout_ns": 50_000_000},
         )
         assert not result.diverged, result.divergence
         assert result.quarantined_replicas == []

@@ -48,10 +48,16 @@ FAST_PATH = _workload("fast-path", 300_000.0,
 
 
 def _run(workload, *, nodes=3, level=Level.SOCKET_RW, degradation=None,
-         **dist_kwargs):
+         batch_bytes=4096, codec=None, loss_prob=0.0, **dist_kwargs):
+    """One run; the transfer-unit size and mirror codec are set on the
+    cluster's transport, the segment loss on its network."""
     config = ReMonConfig(replicas=nodes, level=level, degradation=degradation,
                          dist=DistConfig(**dist_kwargs))
-    result = DistMvee(build_program(workload), config).run(max_steps=MAX_STEPS)
+    mvee = DistMvee(build_program(workload), config)
+    mvee.transport.batch_bytes = batch_bytes
+    mvee.transport.codec = codec
+    mvee.network.loss_prob = loss_prob
+    result = mvee.run(max_steps=MAX_STEPS)
     assert not result.diverged, result.divergence
     return result
 
@@ -114,7 +120,7 @@ def test_mirror_compression_cuts_wire_bytes(latency_ns):
     """Both codecs cut total wire bytes substantially, the dictionary
     beats plain RLE on this repeat-heavy stream, and the codec CPU
     never costs more wall time than the bytes it saves."""
-    raw, rle, dct = (_run(MIRROR, link_latency_ns=latency_ns, compress=codec)
+    raw, rle, dct = (_run(MIRROR, link_latency_ns=latency_ns, codec=codec)
                      for codec in (None, "rle", "dict"))
     for result in (raw, rle, dct):
         assert result.stats["dist_wire_errors"] == 0
@@ -137,7 +143,7 @@ def test_fast_path_dominates_baseline(latency_ns):
     fewer bytes, and less monitor serialization."""
     base = _run(FAST_PATH, link_latency_ns=latency_ns)
     fast = _run(FAST_PATH, link_latency_ns=latency_ns,
-                shard_rendezvous=True, compress="dict")
+                shard_rendezvous=True, codec="dict")
     assert fast.exit_codes == base.exit_codes == [0, 0, 0]
     assert (fast.stats["dist_rendezvous_completed"]
             == base.stats["dist_rendezvous_completed"])
@@ -167,7 +173,7 @@ def test_heterogeneous_diversity_costs_under_ten_pct(latency_ns):
 
 
 def _wan(loss_prob, replication):
-    return _run(WAN, link_latency_ns=200_000, link_loss_prob=loss_prob,
+    return _run(WAN, link_latency_ns=200_000, loss_prob=loss_prob,
                 replication=replication,
                 degradation=DegradationPolicy(min_quorum=2))
 

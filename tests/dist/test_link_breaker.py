@@ -197,9 +197,11 @@ def test_two_pct_loss_does_not_kill_a_benign_program():
     )
     config = ReMonConfig(
         replicas=4, level=Level.SOCKET_RO,
-        dist=DistConfig(link_latency_ns=100_000, link_loss_prob=0.02),
+        dist=DistConfig(link_latency_ns=100_000),
     )
-    result = DistMvee(build_program(workload), config).run(max_steps=MAX_STEPS)
+    mvee = DistMvee(build_program(workload), config)
+    mvee.network.loss_prob = 0.02
+    result = mvee.run(max_steps=MAX_STEPS)
     assert not result.diverged, result.divergence
     assert result.exit_codes == [0, 0, 0, 0]
     assert result.stats["dist_retransmits"] > 0

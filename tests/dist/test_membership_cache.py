@@ -31,6 +31,7 @@ from repro.guest.program import Program
 from repro.kernel import constants as C
 from repro.kernel.exits import ProcessExitRequest
 from repro.lifecycle import LifecycleConfig
+from repro.lifecycle import manager as lifecycle_manager
 from repro.workloads.synthetic import CategoryMix, SyntheticWorkload, build_program
 
 MAX_STEPS = 400_000_000
@@ -169,11 +170,18 @@ def test_node_rejoin(checked):
     _assert_checked(checked, mvee)
 
 
-def test_autoscaler_up_and_down(checked):
-    lifecycle = LifecycleConfig(
-        seed=7, gossip=False, autoscale=True, watch_interval_ns=100_000,
-        drift_factor=1.01, drift_windows=1, min_shards=1, max_shards=4,
-    )
+@pytest.fixture
+def eager_autoscaler(monkeypatch):
+    """A watchdog that samples every 100 us and scales on any drift,
+    between 1 and 4 shards."""
+    for name, value in (("WATCH_INTERVAL_NS", 100_000),
+                        ("DRIFT_FACTOR", 1.01), ("DRIFT_WINDOWS", 1),
+                        ("MIN_SHARDS", 1), ("MAX_SHARDS", 4)):
+        monkeypatch.setattr(lifecycle_manager, name, value)
+
+
+def test_autoscaler_up_and_down(checked, eager_autoscaler):
+    lifecycle = LifecycleConfig(seed=7, autoscale=True)
     mvee, result = _run(
         build_program(_workload(threads=4, native_ms=2.0)),
         rendezvous_shards=2, lifecycle=lifecycle,
@@ -225,13 +233,10 @@ def test_staggered_clean_exits(checked):
     _assert_checked(checked, mvee)
 
 
-def test_reused_config_repeats_the_run():
+def test_reused_config_repeats_the_run(eager_autoscaler):
     """The autoscaler moves the live shard cap, never the caller's
     config: running one config twice gives the same run twice."""
-    lifecycle = LifecycleConfig(
-        seed=7, gossip=False, autoscale=True, watch_interval_ns=100_000,
-        drift_factor=1.01, drift_windows=1, min_shards=1, max_shards=4,
-    )
+    lifecycle = LifecycleConfig(seed=7, autoscale=True)
     dconfig = DistConfig(
         link_latency_ns=100_000, shard_rendezvous=True, rendezvous_shards=2,
         lifecycle=lifecycle,

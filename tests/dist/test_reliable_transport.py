@@ -285,13 +285,14 @@ def _golden_workload():
     )
 
 
-def _golden_run(**dist_kwargs):
+def _golden_run(codec=None, **dist_kwargs):
     config = ReMonConfig(
         replicas=3, level=Level.SOCKET_RW,
         degradation=DegradationPolicy(min_quorum=2),
         dist=DistConfig(link_latency_ns=200_000, **dist_kwargs),
     )
     mvee = DistMvee(build_program(_golden_workload()), config)
+    mvee.transport.codec = codec
     result = mvee.run(max_steps=400_000_000)
     return {
         "wall_time_ns": result.wall_time_ns,
@@ -317,7 +318,7 @@ class TestZeroLossByteIdentity:
         [
             ("selective", {}),
             ("full", {"replication": full_replication()}),
-            ("shard-dict", {"shard_rendezvous": True, "compress": "dict"}),
+            ("shard-dict", {"shard_rendezvous": True, "codec": "dict"}),
         ],
     )
     def test_run_matches_golden_snapshot(self, golden, variant, kwargs):

@@ -10,6 +10,7 @@ deterministic and invisible to a healthy cluster.
 
 from __future__ import annotations
 
+from repro.faults import FaultPlan, StallFault
 from repro.lifecycle import LifecycleConfig
 from repro.lifecycle.autoscale import DriftWatchdog, _delta_p99
 from repro.obs.metrics import Histogram
@@ -17,10 +18,9 @@ from repro.obs.metrics import Histogram
 from .test_rejoin import run_lifecycle
 
 
-def _config(**overrides):
-    overrides.setdefault("autoscale", True)
-    overrides.setdefault("drift_windows", 3)
-    return LifecycleConfig(**overrides)
+def _watchdog(stuck_round_ticks=3):
+    return DriftWatchdog(drift_factor=4.0, drift_windows=3,
+                         stuck_round_ticks=stuck_round_ticks)
 
 
 def _feed(hist, value, times):
@@ -50,7 +50,7 @@ class TestDeltaP99:
 
 class TestScaling:
     def test_sustained_drift_votes_scale_up(self):
-        watchdog = DriftWatchdog(_config())
+        watchdog = _watchdog()
         hist = Histogram("dist_rendezvous_wait_ns")
         hists = {"dist_rendezvous_wait_ns": hist}
         _feed(hist, 1_000, 100)
@@ -64,7 +64,7 @@ class TestScaling:
         assert watchdog.stats["drift_windows"] == 3
 
     def test_quiet_recovery_votes_scale_down(self):
-        watchdog = DriftWatchdog(_config())
+        watchdog = _watchdog()
         hist = Histogram("dist_monitor_wait_ns")
         hists = {"dist_monitor_wait_ns": hist}
         _feed(hist, 10_000, 100)
@@ -79,7 +79,7 @@ class TestScaling:
         assert watchdog.stats["scale_down_votes"] == 1
 
     def test_interrupted_drift_resets_the_streak(self):
-        watchdog = DriftWatchdog(_config())
+        watchdog = _watchdog()
         hist = Histogram("dist_rendezvous_wait_ns")
         hists = {"dist_rendezvous_wait_ns": hist}
         _feed(hist, 1_000, 100)
@@ -92,7 +92,7 @@ class TestScaling:
         assert watchdog.observe_histograms(hists) == 1
 
     def test_idle_windows_hold(self):
-        watchdog = DriftWatchdog(_config())
+        watchdog = _watchdog()
         hist = Histogram("dist_rendezvous_wait_ns")
         hists = {"dist_rendezvous_wait_ns": hist}
         _feed(hist, 1_000, 10)
@@ -105,19 +105,19 @@ class TestScaling:
 
 class TestStuckRounds:
     def test_single_culprit_blamed_after_threshold(self):
-        watchdog = DriftWatchdog(_config(stuck_round_ticks=3))
+        watchdog = _watchdog(stuck_round_ticks=3)
         rounds = {(0, 1, 7): (2,), (1, 3, 9): (2,)}
         assert watchdog.observe_rounds(rounds) is None
         assert watchdog.observe_rounds(rounds) is None
         assert watchdog.observe_rounds(rounds) == 2
 
     def test_split_blame_returns_none(self):
-        watchdog = DriftWatchdog(_config(stuck_round_ticks=1))
+        watchdog = _watchdog(stuck_round_ticks=1)
         rounds = {(0, 1, 7): (2,), (1, 3, 9): (3,)}
         assert watchdog.observe_rounds(rounds) is None
 
     def test_strict_majority_required(self):
-        watchdog = DriftWatchdog(_config(stuck_round_ticks=1))
+        watchdog = _watchdog(stuck_round_ticks=1)
         # Node 2 misses two rounds of four missing votes total: exactly
         # half, not a strict majority.
         rounds = {(0, 1, 7): (2, 3), (1, 3, 9): (2, 4)}
@@ -126,7 +126,7 @@ class TestStuckRounds:
         assert watchdog.observe_rounds(rounds) == 2
 
     def test_closed_round_resets_its_counter(self):
-        watchdog = DriftWatchdog(_config(stuck_round_ticks=2))
+        watchdog = _watchdog(stuck_round_ticks=2)
         assert watchdog.observe_rounds({(0, 1, 7): (2,)}) is None
         assert watchdog.observe_rounds({}) is None  # round completed
         assert watchdog.observe_rounds({(0, 1, 7): (2,)}) is None
@@ -153,3 +153,19 @@ class TestEndToEnd:
         (_, a), (_, b) = runs
         assert a.stats == b.stats
         assert a.wall_time_ns == b.wall_time_ns
+
+    def test_watchdog_quarantines_a_node_that_stops_voting(self):
+        """A 20 ms stall leaves node 3's votes missing for several
+        watchdog ticks: the actuator quarantines it long before the
+        stall watchdog would, and the slot replays back in."""
+        mvee, result = run_lifecycle(
+            FaultPlan([StallFault(replica=3, duration_ns=20_000_000,
+                                  after_syscalls=20)]),
+            lifecycle=LifecycleConfig(autoscale=True, seed=7),
+        )
+        assert not result.diverged, result.divergence
+        assert result.fault_events[0].detected_by == "lifecycle-watchdog"
+        assert result.stats["lifecycle_proactive_quarantines"] == 1
+        assert result.stats["dist_stall_reports"] == 0
+        assert result.stats["lifecycle_rejoins_completed"] == 1
+        assert [node.process.exit_code for node in mvee.nodes] == [0] * 4

@@ -17,6 +17,7 @@ from repro.dist import DistConfig, DistMvee
 from repro.errors import FaultConfigError
 from repro.faults import CrashFault, FaultInjector, FaultPlan, NodeRejoinFault
 from repro.lifecycle import LifecycleConfig
+from repro.lifecycle import manager as lifecycle_manager
 from repro.workloads.synthetic import CategoryMix, SyntheticWorkload, build_program
 
 MAX_STEPS = 400_000_000
@@ -102,17 +103,6 @@ class TestRejoin:
         assert result.stats["lifecycle_suspicions"] > 0
         assert result.stats["lifecycle_false_suspicions"] == 0
 
-    def test_rejoin_without_gossip_uses_crash_timeout(self):
-        mvee, result = run_lifecycle(
-            _rejoin_plan(replica=3),
-            lifecycle=LifecycleConfig(gossip=False, seed=7),
-        )
-        assert not result.diverged, result.divergence
-        assert result.stats["lifecycle_rejoins_completed"] == 1
-        assert "lifecycle_gossip_detections" not in result.stats or (
-            result.stats["lifecycle_gossip_detections"] == 0
-        )
-
     def test_plain_crash_rejoins_when_config_allows(self):
         mvee, result = run_lifecycle(
             FaultPlan(faults=[CrashFault(replica=3, at_ns=CRASH_AT)])
@@ -120,29 +110,9 @@ class TestRejoin:
         assert not result.diverged, result.divergence
         assert result.stats["lifecycle_rejoins_completed"] == 1
 
-    def test_rejoin_fault_overrides_disabled_rejoin(self):
-        mvee, result = run_lifecycle(
-            _rejoin_plan(replica=3),
-            lifecycle=LifecycleConfig(rejoin=False, seed=7),
-        )
-        assert not result.diverged, result.divergence
-        assert result.stats["lifecycle_rejoins_completed"] == 1
-
-    def test_plain_crash_stays_out_when_rejoin_disabled(self):
-        mvee, result = run_lifecycle(
-            FaultPlan(faults=[CrashFault(replica=3, at_ns=CRASH_AT)]),
-            lifecycle=LifecycleConfig(rejoin=False, seed=7),
-        )
-        assert not result.diverged, result.divergence
-        assert result.stats["lifecycle_rejoins_scheduled"] == 0
-        assert result.stats["replicas_quarantined"] == 1
-        assert mvee.epoch == 1  # quarantine only, no re-admission bump
-
-    def test_window_overflow_refuses_rejoin(self):
-        mvee, result = run_lifecycle(
-            _rejoin_plan(replica=3),
-            lifecycle=LifecycleConfig(replay_window=8, seed=7),
-        )
+    def test_window_overflow_refuses_rejoin(self, monkeypatch):
+        monkeypatch.setattr(lifecycle_manager, "REPLAY_WINDOW", 8)
+        mvee, result = run_lifecycle(_rejoin_plan(replica=3))
         assert not result.diverged, result.divergence
         assert result.stats["lifecycle_rejoins_refused"] == 1
         assert result.stats["lifecycle_rejoins_completed"] == 0

@@ -24,7 +24,8 @@ def mixed_program(exit_code=5):
     return Program("mixed", main, files={"/data/input.txt": b"same bytes"})
 
 
-def run_dist(program, obs=None, replicas=3, **dist_kwargs):
+def run_dist(program, obs=None, replicas=3, codec=None, ring_size=None,
+             **dist_kwargs):
     config = ReMonConfig(
         replicas=replicas,
         level=Level.NONSOCKET_RW,
@@ -32,6 +33,9 @@ def run_dist(program, obs=None, replicas=3, **dist_kwargs):
         dist=DistConfig(**dist_kwargs),
     )
     mvee = DistMvee(program, config)
+    mvee.transport.codec = codec
+    if ring_size is not None:
+        mvee.obs.recorder.ring_size = ring_size
     result = mvee.run(max_steps=MAX_STEPS)
     return mvee, result
 
@@ -72,7 +76,7 @@ class TestDistInstrumentation:
 
     def test_spans_cover_dist_and_transport_choke_points(self):
         mvee, result = run_dist(
-            mixed_program(), obs=ObsConfig(spans=True), compress="rle"
+            mixed_program(), obs=ObsConfig(spans=True), codec="rle"
         )
         assert not result.diverged
         events = mvee.obs.tracer.events
@@ -101,7 +105,7 @@ class TestDistPostmortem:
         )
         mvee, result = run_dist(
             program, replicas=2,
-            obs=ObsConfig(flight_recorder=True, ring_size=16),
+            obs=ObsConfig(flight_recorder=True), ring_size=16,
         )
         assert result.diverged
         postmortem = result.postmortem

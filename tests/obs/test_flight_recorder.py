@@ -10,9 +10,10 @@ from repro.kernel import Kernel
 from repro.obs import FlightRecorder, ObsConfig, write_postmortem
 
 
-def run_seeded_divergence(obs_cfg=None):
+def run_seeded_divergence(obs_cfg=None, ring_size=32):
     """Replica 1 opens a different path than replica 0, so the GHUMVEE
-    rendezvous argument comparison catches it on ``open``. Returns the
+    rendezvous argument comparison catches it on ``open``; the flight
+    recorder keeps ``ring_size`` events per replica. Returns the
     diverged result and its MVEE."""
 
     def main(ctx):
@@ -22,10 +23,11 @@ def run_seeded_divergence(obs_cfg=None):
         return 0
 
     if obs_cfg is None:
-        obs_cfg = ObsConfig(spans=True, flight_recorder=True, ring_size=32)
+        obs_cfg = ObsConfig(spans=True, flight_recorder=True)
     program = Program("seeded-divergence", main,
                       files={"/data/a": b"x", "/data/b": b"y"})
     mvee = ReMon(Kernel(), program, ReMonConfig(obs=obs_cfg))
+    mvee.obs.recorder.ring_size = ring_size
     result = mvee.run(max_steps=20_000_000)
     assert result.diverged, "seeded divergence did not trigger"
     return result, mvee
@@ -71,7 +73,7 @@ class TestSeededDivergencePostmortem:
         postmortem = result.postmortem
         assert set(postmortem.tails) == {0, 1}
         for tail in postmortem.tails.values():
-            assert 0 < len(tail) <= mvee.obs.config.ring_size
+            assert 0 < len(tail) <= mvee.obs.recorder.ring_size
             assert all(event["kind"] in ("syscall", "rendezvous", "fault")
                        for event in tail)
         # The diverging call itself is the last thing replica 1 saw.
@@ -103,7 +105,7 @@ class TestSeededDivergencePostmortem:
 
     def test_tiny_ring_still_keeps_the_fatal_call(self):
         result, _mvee = run_seeded_divergence(
-            ObsConfig(flight_recorder=True, ring_size=2)
+            ObsConfig(flight_recorder=True), ring_size=2
         )
         postmortem = result.postmortem
         assert all(len(tail) <= 2 for tail in postmortem.tails.values())

@@ -16,10 +16,13 @@ from repro.workloads.profiles import PARSEC_BENCHMARKS, derive_workload
 from repro.workloads.synthetic import build_program
 
 
-def run_mvee(program, obs=None, level=Level.NONSOCKET_RW, replicas=2):
+def run_mvee(program, obs=None, level=Level.NONSOCKET_RW, replicas=2,
+             max_events=None):
     kernel = Kernel()
     mvee = ReMon(kernel, program, ReMonConfig(replicas=replicas, level=level,
                                               obs=obs))
+    if max_events is not None:
+        mvee.obs.tracer.max_events = max_events
     result = mvee.run(max_steps=400_000_000)
     assert not result.diverged, result.divergence
     return mvee, result
@@ -127,8 +130,8 @@ class TestSpanCoverage:
         assert rendezvous and all(e.attrs["syscall"] for e in rendezvous)
 
     def test_event_buffer_is_bounded(self):
-        mvee, _ = run_mvee(busy_program(),
-                           obs=ObsConfig(spans=True, max_events=5))
+        mvee, _ = run_mvee(busy_program(), obs=ObsConfig(spans=True),
+                           max_events=5)
         assert len(mvee.obs.tracer.events) == 5
         assert mvee.obs.tracer.dropped > 0
 

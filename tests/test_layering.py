@@ -27,18 +27,26 @@ live frontier in more than one place, or when a mirror's order log is
 written outside ``RBMirror`` and the rejoiner's boot.
 
 The dist transport has one batch pipeline whether it runs loss-free or
-reliable (DESIGN.md §8, "WAN-grade links"); the last check fails when a second method of
-``Transport`` puts batches on the network or parses them.
+reliable (DESIGN.md §8, "WAN-grade links"); the next check fails when a
+second method of ``Transport`` puts batches on the network or parses
+them.
+
+A config carries only what its callers set: the last check fails when a
+``DistConfig`` or ``LifecycleConfig`` field is set by no call in
+``src/`` or ``perfbench/``, i.e. only by tests (a tuning value a test
+varies belongs to the object that owns it, or to a module constant).
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 
 def _is_self(node) -> bool:
@@ -310,3 +318,44 @@ def test_one_batch_pipeline():
         "transmit": {"Transport._transmit"},
         "parse_batch": {"Transport._receive"},
     }
+
+
+#: No non-test caller sets ``LifecycleConfig.autoscale``, but the
+#: lifecycle golden (tests/diversity/golden_hetero_stats.json) pins the
+#: zero counters of the actuators it arms.
+_TEST_ONLY_FIELDS = {("LifecycleConfig", "autoscale")}
+
+
+def _keywords_by_callee(names, paths):
+    """The keyword names each call of a class in ``names`` passes."""
+    found = {name: set() for name in names}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                callee = func.attr
+            elif isinstance(func, ast.Name):
+                callee = func.id
+            else:
+                continue
+            if callee in found:
+                found[callee].update(kw.arg for kw in node.keywords if kw.arg)
+    return found
+
+
+def test_config_fields_have_non_test_callers():
+    from repro.dist import DistConfig
+    from repro.lifecycle import LifecycleConfig
+
+    configs = (DistConfig, LifecycleConfig)
+    paths = sorted(SRC.rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    set_by = _keywords_by_callee({cls.__name__ for cls in configs}, paths)
+    unset = {
+        (cls.__name__, field.name)
+        for cls in configs
+        for field in fields(cls)
+        if field.name not in set_by[cls.__name__]
+    }
+    assert unset == _TEST_ONLY_FIELDS
